@@ -80,8 +80,7 @@ Status HostBackend::deploy(workloads::WorkloadBundle bundle) {
   auto compiled = compiler::compile(bundle.spec, std::move(bundle.lambdas),
                                     options);
   if (!compiled.ok()) return compiled.error();
-  host_.deploy(std::move(compiled).value().program);
-  return Status::ok_status();
+  return host_.deploy(std::move(compiled).value().program);
 }
 
 Capacity HostBackend::capacity() const {

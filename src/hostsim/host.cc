@@ -45,9 +45,12 @@ HostServer::HostServer(sim::Simulator& sim, net::Network& network,
   gil_.capacity = std::min(config_.gil_limit, config_.cores);
 }
 
-void HostServer::deploy(microc::Program program) {
-  program_ = std::move(program);
-  globals_.reset(*program_);
+Status HostServer::deploy(microc::Program program) {
+  auto image = microc::Executable::build(program, config_.cost);
+  if (!image.ok()) return image.error();
+  image_ = std::move(image).value();
+  globals_.reset(*image_);
+  return Status::ok_status();
 }
 
 SimDuration HostServer::jittered(SimDuration base) {
@@ -93,7 +96,7 @@ void HostServer::handle_packet(const Packet& packet) {
 }
 
 void HostServer::handle_request(const Packet& packet, net::BufferView body) {
-  if (!program_) {
+  if (!image_) {
     ++stats_.requests_dropped;
     return;
   }
@@ -241,9 +244,7 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
     }
     Outcome outcome;
     if (!job->machine) {
-      job->machine = std::make_unique<microc::Machine>(*program_,
-                                                       config_.cost,
-                                                       &globals_);
+      job->machine = std::make_unique<microc::Machine>(image_, &globals_);
       outcome = job->machine->run(job->invocation);
     } else {
       outcome = job->machine->resume(job->pending_reply);

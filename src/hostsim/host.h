@@ -30,7 +30,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -94,8 +93,9 @@ class HostServer {
 
   /// Installs the program whose lambda_entries this worker serves. The
   /// host runs the same logic as the NIC but under the host cost model;
-  /// dispatch happens in the runtime, not a P4 match stage.
-  void deploy(microc::Program program);
+  /// dispatch happens in the runtime, not a P4 match stage. The program
+  /// is verified and lowered once here; a rejected one is not installed.
+  Status deploy(microc::Program program);
 
   void set_kv_server(NodeId node) { kv_server_ = node; }
 
@@ -143,7 +143,7 @@ class HostServer {
   NodeId kv_server_ = kInvalidNode;
   Rng rng_;
 
-  std::optional<microc::Program> program_;
+  std::shared_ptr<const microc::Executable> image_;  // deployed, lowered
   microc::ObjectStore globals_;
 
   Stage kernel_;   // per-packet work

@@ -16,10 +16,12 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/result.h"
 #include "common/types.h"
 #include "microc/ir.h"
 
@@ -63,6 +65,8 @@ struct CostModel {
     return static_cast<SimDuration>(static_cast<double>(cycles) /
                                     frequency_hz * 1e9);
   }
+
+  friend bool operator==(const CostModel&, const CostModel&) = default;
 };
 
 /// Pre-parsed header values handed to the lambda (EXTRACTED_HEADERS_T).
@@ -98,14 +102,25 @@ struct Outcome {
   std::string trap_message;               // valid when kTrap
 };
 
+class Executable;
+
 /// Persistent global-object storage for one deployed program instance
 /// ("global objects persist state across runs", §4.1). Local-scope
 /// objects get fresh zeroed backing per invocation inside the Machine.
+///
+/// A store belongs to the program it was built or reset() with, which
+/// must outlive it and stay unchanged while the store is in use (reset
+/// the store after changing the program). Bare-Program Machines over
+/// that program and store share one lazily lowered image through it, so
+/// constructing a Machine per invocation lowers each function once.
 class ObjectStore {
  public:
   ObjectStore() = default;
   explicit ObjectStore(const Program& program) { reset(program); }
   void reset(const Program& program);
+  /// Sizes the store for a built image's objects; binds no Program.
+  void reset(const Executable& image);
+  std::size_t size() const { return data_.size(); }
   std::vector<std::uint8_t>& data(std::size_t object_index) {
     return data_[object_index];
   }
@@ -115,13 +130,116 @@ class ObjectStore {
   Bytes total_bytes() const;
 
  private:
+  friend class Machine;
+
+  void allocate(const std::vector<MemObject>& objects);
+
   std::vector<std::vector<std::uint8_t>> data_;
+  const Program* program_ = nullptr;
+  std::shared_ptr<Executable> image_;  // lowered program_, by cost model
 };
 
+/// A verified Program lowered once for one CostModel: the form every
+/// Machine executes. Each function becomes a flat op array in which
+///  - branch targets are op offsets,
+///  - every op carries its scalar cycle charge (the region cost of
+///    kLoad/kStore included), resolved from the CostModel up front, and
+///  - every straight-line segment (a block, or the rest of one after a
+///    call or external call) opens with an entry marker holding the
+///    segment's total scalar cost, so fuel is checked once per segment.
+/// A built image is immutable; one is shared by every Machine (and every
+/// in-flight invocation) of a deployment.
+class Executable {
+ public:
+  /// Verifies `program` (see verify.h) and lowers all of it; fails with
+  /// the verifier's message. The image copies what it needs (object
+  /// metadata and initial data), so it does not reference `program`.
+  static Result<std::shared_ptr<const Executable>> build(
+      const Program& program, const CostModel& cost);
+
+  const std::vector<MemObject>& objects() const { return objects_; }
+
+  Executable(const Executable&) = delete;
+  Executable& operator=(const Executable&) = delete;
+
+ private:
+  friend class Machine;
+
+  /// One lowered instruction. `code` is an Opcode, or kEnter for the
+  /// segment-entry marker (not an instruction: no count, no cycles).
+  struct Op {
+    std::uint8_t code = 0;
+    /// Operand forwarding: bit 0 (bit 1) set when operand a (b) is the
+    /// register the previous op of the same segment just wrote, which
+    /// the loop still holds in a local; the op then skips the reload.
+    std::uint8_t fwd = 0;
+    std::uint16_t dst = 0;
+    std::uint16_t a = 0;
+    std::uint16_t b = 0;
+    std::uint16_t obj = 0;
+    std::uint8_t width = 8;
+    /// Scalar cycles the op charges; for kEnter, the number of
+    /// instructions in its segment.
+    std::uint32_t cost = 0;
+    /// Immediate. kBr: relative target; kBrIf: relative taken target in
+    /// the low and fall-through in the high 32 bits; kMemCpy/kGrayscale:
+    /// the source object; kEnter: the scalar cost of its segment.
+    std::int64_t imm = 0;
+  };
+  static constexpr std::uint8_t kEnter =
+      static_cast<std::uint8_t>(Opcode::kRet) + 1;
+
+  struct Fn {
+    std::vector<Op> ops;  // empty until decoded (bare-Program machines)
+    std::uint16_t num_regs = 0;
+  };
+
+  Executable(const Program& source, const CostModel& cost);
+  /// Lowers function `index` of `source_` (which must already pass
+  /// verify_function) into fns_[index].
+  void decode(std::size_t index);
+
+  std::uint32_t read_cost(std::size_t obj) const {
+    return cost_.region_read[static_cast<int>(objects_[obj].region)];
+  }
+  std::uint32_t write_cost(std::size_t obj) const {
+    return cost_.region_write[static_cast<int>(objects_[obj].region)];
+  }
+
+  CostModel cost_;
+  std::vector<Fn> fns_;
+  std::vector<MemObject> objects_;  // copied: the image outlives sources
+  std::uint32_t dispatch_ = 0;
+  std::uint64_t parser_cycles_ = 0;        // hdr_cycles per parsed field
+  /// Program being lowered; only set while build() runs, or for the
+  /// private image of a bare-Program Machine, which decodes each
+  /// function the first time it is called.
+  const Program* source_ = nullptr;
+};
+
+/// Runs invocations of one Executable. A Machine can be reused for any
+/// number of invocations (each starts from zeroed registers and fresh
+/// local objects); it keeps its frame stack, register file and local
+/// buffers between them, so a pooled Machine allocates nothing in the
+/// steady state.
 class Machine {
  public:
-  /// `globals` may be null when the program declares no global objects.
+  /// Runs a bare Program: each function is verified (verify_function)
+  /// and lowered the first time it is called, so short runs do not pay
+  /// for the whole program. A function that fails verification traps
+  /// with the verifier's message. When `globals` is the program's own
+  /// store (see ObjectStore), the lowered image is kept there for every
+  /// later Machine with the same cost model. `globals` may be null when
+  /// the program declares no global objects. `program` must outlive the
+  /// Machine and stay unchanged while it is used.
   Machine(const Program& program, const CostModel& cost, ObjectStore* globals);
+
+  /// Runs a prebuilt image (deploy-time decode; nothing is lowered here).
+  Machine(std::shared_ptr<const Executable> image, ObjectStore* globals);
+
+  ~Machine();
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   /// Starts an invocation at the program's dispatch (match-stage)
   /// function. Charges the parser cost for program.parsed_fields.
@@ -143,46 +261,46 @@ class Machine {
   /// serverless workloads have strict compute limits, §2.1).
   void set_fuel(std::uint64_t cycles) { fuel_ = cycles; }
 
-  const CostModel& cost_model() const { return cost_; }
+  const CostModel& cost_model() const { return image_->cost_; }
+  const Executable& image() const { return *image_; }
 
  private:
+  using Op = Executable::Op;
+
   struct Frame {
-    std::uint32_t fn = 0;
-    std::uint32_t block = 0;
-    std::uint32_t instr = 0;
-    std::uint16_t ret_dst = 0;  // caller register receiving the return value
-    std::vector<std::uint64_t> regs;
+    const Op* resume = nullptr;  // where this frame continues after a call
+    std::uint32_t base = 0;      // first register in regs_
+    std::uint32_t top = 0;       // one past the last register
+    std::uint16_t ret_dst = 0;   // caller register receiving the return
   };
 
-  Outcome execute();
-  Outcome trap(const std::string& message);
+  /// The interpreter loop: runs from `ip` in the top frame until the
+  /// invocation finishes, yields or traps.
+  Outcome execute(const Op* ip);
+  /// Pushes a zeroed frame for function `fn` with `base` as its first
+  /// register; false when `fn` cannot be lowered (trap_ says why).
+  bool enter(std::uint32_t fn, std::uint32_t base, std::uint16_t ret_dst);
+  /// Settles the counters when the op at `ip` traps mid-segment.
+  void unwind_segment(const Op* ip, bool stepping);
+  /// Points the global objects' entries of objs_ at the store.
+  void bind_globals();
+  Outcome trap(std::string message);
   Outcome finish(std::uint64_t return_value);
+  std::uint64_t scaled_cycles() const;
 
-  // Memory access helpers; return false (and set trap_) on bounds errors.
-  std::vector<std::uint8_t>* object_bytes(std::size_t index);
-  bool load_bytes(std::size_t obj, std::uint64_t offset, std::uint8_t width,
-                  std::uint64_t& out);
-  bool store_bytes(std::size_t obj, std::uint64_t offset, std::uint8_t width,
-                   std::uint64_t value);
-  void charge(std::uint64_t cycles) { cycles_ += cycles; }
-  void charge_bulk(std::uint64_t cycles) { bulk_cycles_ += cycles; }
-  std::uint64_t scaled_cycles() const {
-    return static_cast<std::uint64_t>(
-        static_cast<double>(cycles_) * cost_.runtime_factor +
-        static_cast<double>(bulk_cycles_) * cost_.bulk_factor);
-  }
-  std::uint32_t read_cost(std::size_t obj) const;
-  std::uint32_t write_cost(std::size_t obj) const;
-
-  const Program& program_;
-  CostModel cost_;
+  std::shared_ptr<const Executable> image_;
+  Executable* lazy_ = nullptr;  // == image_, when decoding on demand
   ObjectStore* globals_;
 
   // Invocation state.
   const Invocation* invocation_ = nullptr;
   std::vector<std::vector<std::uint8_t>> locals_;  // per local-scope object
-  std::vector<Frame> stack_;
+  std::vector<std::vector<std::uint8_t>*> objs_;   // backing per object
+  std::vector<Frame> frames_;
+  std::vector<std::uint64_t> regs_;  // register stack, frames_ slice it
   std::vector<std::uint8_t> response_;
+  const Op* resume_ip_ = nullptr;    // after a kYield
+  std::uint16_t resume_dst_ = 0;
   std::uint64_t cycles_ = 0;       // scalar instruction cycles
   std::uint64_t bulk_cycles_ = 0;  // intrinsic inner-loop cycles
   std::uint64_t instructions_ = 0;

@@ -190,8 +190,12 @@ std::uint64_t code_size(const Program& program) {
 }
 
 Bytes region_bytes(const Program& program, MemRegion region) {
+  return region_bytes(program.objects, region);
+}
+
+Bytes region_bytes(const std::vector<MemObject>& objects, MemRegion region) {
   Bytes total = 0;
-  for (const auto& obj : program.objects) {
+  for (const auto& obj : objects) {
     if (obj.region == region) total += obj.size;
   }
   return total;

@@ -200,5 +200,6 @@ std::uint64_t code_size(const Program& program);
 
 /// Total bytes of all memory objects placed in a given region.
 Bytes region_bytes(const Program& program, MemRegion region);
+Bytes region_bytes(const std::vector<MemObject>& objects, MemRegion region);
 
 }  // namespace lnic::microc

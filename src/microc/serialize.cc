@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "microc/verify.h"
+
 namespace lnic::microc {
 
 namespace {
@@ -233,6 +235,10 @@ Result<Program> deserialize(const std::vector<std::uint8_t>& bytes) {
     program.lambda_entries.emplace_back(wid, fn);
   }
   if (!r.done()) return make_error("deserialize: trailing bytes");
+  // Firmware bytes are untrusted: only a program that passes the
+  // verifier leaves here, so nothing downstream (disassembler, lowering,
+  // interpreter) ever sees an out-of-range index.
+  if (Status st = verify(program); !st.ok()) return st.error();
   return program;
 }
 

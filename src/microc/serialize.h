@@ -17,8 +17,9 @@ namespace lnic::microc {
 std::vector<std::uint8_t> serialize(const Program& program);
 
 /// Decodes a firmware image; validates magic/version and structural
-/// bounds (string/section lengths). The result still goes through
-/// verify() at deploy time.
+/// bounds (string/section lengths), then runs verify() on the result:
+/// an image that decodes but fails verification is rejected with the
+/// verifier's message.
 Result<Program> deserialize(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace lnic::microc

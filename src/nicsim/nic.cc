@@ -15,8 +15,8 @@ using net::Packet;
 using net::PacketKind;
 
 /// One request in flight on an NPU thread (or waiting in the dispatch
-/// queue). Owns the invocation (the Machine keeps a pointer into it) and
-/// the suspended Machine across external-call round trips.
+/// queue). Owns the invocation (the Machine keeps a pointer into it) and,
+/// across external-call round trips, the suspended Machine.
 struct SmartNic::Flight {
   net::LambdaHeader lambda;
   std::uint32_t sched_class = 0;  // DRR class (tenant or workload id)
@@ -202,24 +202,29 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
       }
     }
   }
+  // Lower the firmware once; a program the verifier rejects never runs.
+  auto image = microc::Executable::build(firmware.program, npu_cost_);
+  if (!image.ok()) return image.error();
   tenant_usage_ = std::move(usage);
   instr_words_used_ = firmware.final_words();
-  program_ = std::move(firmware.program);
-  globals_.reset(*program_);
+  const microc::Program& program = firmware.program;
+  image_ = std::move(image).value();
+  globals_.reset(*image_);
+  idle_machines_.clear();  // pooled machines run the previous image
   // Static parse+match cycle estimate for the pipelined mode (§5
   // footnote 4): the parser's field extractions plus the dispatch
   // function's instruction and memory costs.
   {
-    const microc::CostModel npu = microc::CostModel::npu();
+    const microc::CostModel& npu = npu_cost_;
     std::uint64_t cycles =
-        npu.hdr_cycles * program_->parsed_fields.size();
-    const auto& dispatch = program_->functions[program_->dispatch_function];
+        npu.hdr_cycles * program.parsed_fields.size();
+    const auto& dispatch = program.functions[program.dispatch_function];
     for (const auto& block : dispatch.blocks) {
       for (const auto& in : block.instrs) {
         cycles += npu.alu_cycles;
         if (microc::is_memory_op(in.op)) {
           cycles += npu.region_read[static_cast<int>(
-              program_->objects[in.obj].region)];
+              program.objects[in.obj].region)];
         }
       }
     }
@@ -229,7 +234,7 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
   // Firmware artifact: lowered words (NFP instruction words are 8 B) plus
   // data-section bytes for initialized objects.
   firmware_bytes_ = firmware.stages.back().code_words * 8;
-  for (const auto& obj : program_->objects) {
+  for (const auto& obj : program.objects) {
     firmware_bytes_ += obj.initial_data.size();
   }
   if (!config_.allow_hot_swap) {
@@ -245,7 +250,7 @@ Bytes SmartNic::memory_in_use() const {
 
 Bytes SmartNic::region_bytes_used(microc::MemRegion region) const {
   Bytes bytes = 0;
-  if (program_) bytes += microc::region_bytes(*program_, region);
+  if (image_) bytes += microc::region_bytes(image_->objects(), region);
   if (region == microc::MemRegion::kEmem) bytes += inflight_bytes_;
   return bytes;
 }
@@ -271,7 +276,7 @@ void SmartNic::handle_packet(const Packet& packet) {
 }
 
 void SmartNic::handle_request(const Packet& packet, net::BufferView body) {
-  if (!program_ || down()) {
+  if (!image_ || down()) {
     ++stats_.requests_dropped_down;
     return;
   }
@@ -313,14 +318,13 @@ void SmartNic::enter_parse_stage(std::unique_ptr<Flight> flight) {
     flight->parse_span = tracer_->start_span(
         flight->ctx.trace, flight->ctx.parent, "nic.parse", sim_.now());
   }
-  const SimDuration service =
-      microc::CostModel::npu().cycles_to_duration(parse_match_cycles_);
-  Flight* raw = flight.release();
-  sim_.schedule(service, [this, raw]() {
-    if (raw->parse_span != trace::kInvalidSpan) {
-      tracer_->end_span(raw->parse_span, sim_.now());
+  const SimDuration service = npu_cost_.cycles_to_duration(parse_match_cycles_);
+  // The event owns the flight, so a simulator torn down mid-run frees it.
+  sim_.schedule(service, [this, flight = std::move(flight)]() mutable {
+    if (flight->parse_span != trace::kInvalidSpan) {
+      tracer_->end_span(flight->parse_span, sim_.now());
     }
-    enqueue(std::unique_ptr<Flight>(raw));
+    enqueue(std::move(flight));
     release_parse_thread();
   });
 }
@@ -335,7 +339,7 @@ void SmartNic::release_parse_thread() {
 }
 
 void SmartNic::handle_rdma_fragment(const Packet& packet) {
-  if (!program_ || down()) {
+  if (!image_ || down()) {
     ++stats_.requests_dropped_down;
     return;
   }
@@ -494,10 +498,34 @@ void SmartNic::start_execution(std::unique_ptr<Flight> flight) {
       tracer_->annotate(flight->exec_span, "tenant", std::to_string(tenant));
     }
   }
-  flight->machine = std::make_unique<microc::Machine>(
-      *program_, microc::CostModel::npu(), &globals_);
-  Outcome outcome = flight->machine->run(flight->invocation);
+  Outcome outcome = run_machine(*flight);
   continue_flight(std::move(flight), std::move(outcome));
+}
+
+Outcome SmartNic::run_machine(Flight& flight) {
+  if (idle_machines_.empty()) {
+    flight.machine = std::make_unique<microc::Machine>(image_, &globals_);
+  } else {
+    flight.machine = std::move(idle_machines_.back());
+    idle_machines_.pop_back();
+  }
+  return settle_machine(flight, flight.machine->run(flight.invocation));
+}
+
+Outcome SmartNic::resume_machine(Flight& flight, std::uint64_t reply) {
+  return settle_machine(flight, flight.machine->resume(reply));
+}
+
+Outcome SmartNic::settle_machine(Flight& flight, Outcome outcome) {
+  // A finished (or trapped) invocation leaves nothing in its Machine:
+  // hand it back unless a redeploy replaced the image meanwhile.
+  if (outcome.state != RunState::kYield) {
+    auto machine = std::move(flight.machine);
+    if (&machine->image() == image_.get()) {
+      idle_machines_.push_back(std::move(machine));
+    }
+  }
+  return outcome;
 }
 
 void SmartNic::continue_flight(std::unique_ptr<Flight> flight,
@@ -508,7 +536,7 @@ void SmartNic::continue_flight(std::unique_ptr<Flight> flight,
     delta -= std::min(delta, parse_match_cycles_);
   }
   flight->cycles_reported = outcome.cycles;
-  SimDuration service = microc::CostModel::npu().cycles_to_duration(delta);
+  SimDuration service = npu_cost_.cycles_to_duration(delta);
   // Shared-memory arbitration jitter + rare DMA-contention spikes.
   if (config_.jitter_fraction > 0.0) {
     service = static_cast<SimDuration>(
@@ -552,9 +580,9 @@ void SmartNic::continue_flight(std::unique_ptr<Flight> flight,
   }
 
   // Done or trapped: hold the thread for the compute burst, then reply.
-  auto* raw = flight.release();
-  sim_.schedule(service, [this, raw, outcome = std::move(outcome)]() mutable {
-    finish_flight(std::unique_ptr<Flight>(raw), std::move(outcome));
+  sim_.schedule(service, [this, flight = std::move(flight),
+                          outcome = std::move(outcome)]() mutable {
+    finish_flight(std::move(flight), std::move(outcome));
   });
 }
 
@@ -571,7 +599,7 @@ void SmartNic::handle_kv_response(const Packet& packet) {
   for (std::size_t i = 0; i < 8 && i < packet.payload.size(); ++i) {
     reply |= static_cast<std::uint64_t>(packet.payload[i]) << (8 * i);
   }
-  Outcome outcome = flight->machine->resume(reply);
+  Outcome outcome = resume_machine(*flight, reply);
   continue_flight(std::move(flight), std::move(outcome));
 }
 

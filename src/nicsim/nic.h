@@ -25,7 +25,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,7 +143,7 @@ class SmartNic {
   /// resets.
   Status deploy(compiler::CompileOutput firmware);
 
-  bool deployed() const { return program_.has_value(); }
+  bool deployed() const { return image_ != nullptr; }
   bool down() const;
 
   /// Node to which kExtCall KV traffic is sent (the memcached server).
@@ -235,6 +234,12 @@ class SmartNic {
   void continue_flight(std::unique_ptr<Flight> flight,
                        microc::Outcome outcome);
   void finish_flight(std::unique_ptr<Flight> flight, microc::Outcome outcome);
+  /// Runs (resumes) the flight's invocation on a Machine from the pool.
+  /// The flight keeps the Machine only while the lambda waits on an
+  /// external call; settle_machine() returns it to the pool otherwise.
+  microc::Outcome run_machine(Flight& flight);
+  microc::Outcome resume_machine(Flight& flight, std::uint64_t reply);
+  microc::Outcome settle_machine(Flight& flight, microc::Outcome outcome);
   void release_thread();
 
   sim::Simulator& sim_;
@@ -244,8 +249,14 @@ class SmartNic {
   NodeId kv_server_ = kInvalidNode;
   Rng rng_;
 
-  std::optional<microc::Program> program_;
+  // The deployed firmware, lowered once for the NPU cost model (the NIC
+  // keeps no other copy of it). Every flight runs it on a Machine from
+  // the pool, which grows on demand and holds only machines not running
+  // or waiting on a flight.
+  const microc::CostModel npu_cost_ = microc::CostModel::npu();
+  std::shared_ptr<const microc::Executable> image_;
   microc::ObjectStore globals_;
+  std::vector<std::unique_ptr<microc::Machine>> idle_machines_;
   Bytes firmware_bytes_ = 0;
   std::uint64_t instr_words_used_ = 0;
   SimTime down_until_ = 0;

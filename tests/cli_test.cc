@@ -129,6 +129,28 @@ TEST_F(CliTest, BadSourceFailsWithDiagnostic) {
   EXPECT_NE(r.output.find("unknown variable"), std::string::npos);
 }
 
+// tests/fixtures/bad_register.lnfw: well-formed firmware bytes whose only
+// function (one register) writes register 60000 — it deserializes, but
+// the verifier rejects it. Both commands must refuse it with the
+// verifier's message and exit 2, not crash.
+TEST_F(CliTest, RunRejectsFirmwareThatFailsVerification) {
+  const auto r =
+      run_command("run " LNIC_FIXTURES_DIR "/bad_register.lnfw --wid 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("verify: function 'evil': register index out of "
+                          "range at const"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(CliTest, DisasmRejectsFirmwareThatFailsVerification) {
+  const auto r = run_command("disasm " LNIC_FIXTURES_DIR "/bad_register.lnfw");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("register index out of range"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("r60000"), std::string::npos) << r.output;
+}
+
 TEST_F(CliTest, MissingFileFails) {
   const auto r = run_command("disasm /nonexistent/file.lnfw");
   EXPECT_EQ(r.exit_code, 2);

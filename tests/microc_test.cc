@@ -621,6 +621,217 @@ TEST(Verify, RejectsWrongCallArity) {
   EXPECT_FALSE(verify(p).ok());
 }
 
+// ------------------------------------------- interpreter loop edge cases
+//
+// Fuel is checked before every instruction: the first instruction that
+// starts with the cycle counter above the budget traps, uncharged and
+// uncounted. The loop checks whole segments at once, so these pin the
+// exact counters at the points where a segment check could go wrong. On
+// the NPU cost model every op below costs 1 cycle except kCall (5) and
+// kExtCall (60).
+
+// A single block: const, `n` add_imm, ret.
+Program straight_line(int n) {
+  ProgramBuilder pb("line");
+  auto fb = pb.function("f", 0);
+  auto acc = fb.const_u64(1);
+  for (int i = 0; i < n; ++i) acc = fb.add_imm(acc, 1);
+  fb.ret(acc);
+  fb.finish();
+  return pb.take();
+}
+
+Outcome run_with_fuel(const Program& p, std::uint64_t fuel) {
+  ObjectStore store(p);
+  Machine m(p, CostModel::npu(), &store);
+  m.set_fuel(fuel);
+  return m.run_function(0, Invocation{});
+}
+
+TEST(InterpFuel, TrapsMidBlockWithExactCounters) {
+  const Program p = straight_line(40);
+  for (const std::uint64_t fuel : {0u, 1u, 5u, 17u, 40u}) {
+    const Outcome out = run_with_fuel(p, fuel);
+    ASSERT_EQ(out.state, RunState::kTrap) << fuel;
+    EXPECT_NE(out.trap_message.find("fuel"), std::string::npos);
+    EXPECT_EQ(out.cycles, fuel + 1) << fuel;
+    EXPECT_EQ(out.instructions, fuel + 1) << fuel;
+  }
+  // 42 instructions: the ret starts at cycle 41, so 41 is enough.
+  EXPECT_EQ(run_with_fuel(p, 41).state, RunState::kDone);
+}
+
+TEST(InterpFuel, TrapsExactlyAtABlockBoundary) {
+  // b0: const, 3 x add_imm, br b1 (5 cycles); b1: 3 x add_imm, ret.
+  ProgramBuilder pb("blocks");
+  auto fb = pb.function("f", 0);
+  auto acc = fb.const_u64(0);
+  for (int i = 0; i < 3; ++i) acc = fb.add_imm(acc, 1);
+  const auto next = fb.block();
+  fb.select_block(0);
+  fb.br(next);
+  fb.select_block(next);
+  for (int i = 0; i < 3; ++i) acc = fb.add_imm(acc, 1);
+  fb.ret(acc);
+  fb.finish();
+  const Program p = pb.take();
+  ASSERT_TRUE(verify(p).ok());
+
+  // Budget 4: the branch starts at cycle 4 and runs; b1 starts at 5.
+  Outcome out = run_with_fuel(p, 4);
+  ASSERT_EQ(out.state, RunState::kTrap);
+  EXPECT_EQ(out.cycles, 5u);
+  EXPECT_EQ(out.instructions, 5u);
+  // Budget 5: b1's first op runs, its second starts at 6.
+  out = run_with_fuel(p, 5);
+  ASSERT_EQ(out.state, RunState::kTrap);
+  EXPECT_EQ(out.cycles, 6u);
+  EXPECT_EQ(out.instructions, 6u);
+  out = run_with_fuel(p, 8);
+  ASSERT_EQ(out.state, RunState::kDone);
+  EXPECT_EQ(out.return_value, 6u);
+  EXPECT_EQ(out.cycles, 9u);
+  EXPECT_EQ(out.instructions, 9u);
+}
+
+TEST(InterpCalls, ExtCallInsideACalleeResumesAndReturns) {
+  ProgramBuilder pb("nested");
+  auto helper = pb.function("helper", 1);
+  auto reply = helper.ext_call(0, helper.arg(0), helper.arg(0));
+  helper.ret(helper.mul_imm(reply, 2));
+  const auto h = helper.finish();
+  auto fb = pb.function("main", 0);
+  auto v = fb.call(h, {fb.const_u64(5)});
+  fb.ret(fb.add_imm(v, 1));
+  const auto entry = fb.finish();
+  const Program p = pb.take();
+  ASSERT_TRUE(verify(p).ok());
+
+  ObjectStore store(p);
+  Machine m(p, CostModel::npu(), &store);
+  Outcome out = m.run_function(entry, Invocation{});
+  ASSERT_EQ(out.state, RunState::kYield);
+  EXPECT_EQ(out.ext.key, 5u);
+  EXPECT_EQ(out.ext.value, 5u);
+  EXPECT_EQ(out.instructions, 4u);  // const, mov (argument), call, ext_call
+  EXPECT_EQ(out.cycles, 67u);       // 1 + 1 + 5 + 60
+  out = m.resume(10);
+  ASSERT_EQ(out.state, RunState::kDone);
+  EXPECT_EQ(out.return_value, 21u);
+  EXPECT_EQ(out.instructions, 8u);  // + mul_imm, ret, add_imm, ret
+  EXPECT_EQ(out.cycles, 71u);
+}
+
+TEST(InterpCalls, CallDepthLimitTrapsOnAVerifiedChain) {
+  // f0 -> f1 -> ... -> f16 has no recursion, so it verifies, but it is
+  // one call deeper than the NPU's 16 frames.
+  ProgramBuilder pb("chain");
+  auto leaf = pb.function("f16", 0);
+  leaf.ret_imm(7);
+  std::uint32_t callee = leaf.finish();
+  for (int i = 15; i >= 0; --i) {
+    auto fb = pb.function("f" + std::to_string(i), 0);
+    fb.ret(fb.call(callee, {}));
+    callee = fb.finish();
+  }
+  const Program p = pb.take();
+  ASSERT_TRUE(verify(p).ok());
+  ObjectStore store(p);
+  Machine m(p, CostModel::npu(), &store);
+  const Outcome out = m.run_function(callee, Invocation{});
+  ASSERT_EQ(out.state, RunState::kTrap);
+  EXPECT_NE(out.trap_message.find("call depth"), std::string::npos);
+  EXPECT_EQ(out.instructions, 16u);  // 15 calls + the trapping one
+  EXPECT_EQ(out.cycles, 75u);        // only completed calls are charged
+}
+
+// A program whose "dirty" lambdas leave 77 in r0 and in a local object,
+// then trap or suspend; "probe" returns r0 (never written) plus the
+// local's first byte, which is its initial data.
+struct ReuseProgram {
+  Program program;
+  std::uint32_t trap_fn, yield_fn, probe_fn;
+};
+
+ReuseProgram reuse_program() {
+  ProgramBuilder pb("reuse");
+  const auto scratch = pb.object("scratch", 16, MemScope::kLocal);
+  pb.program().objects[scratch].initial_data = {0x11};
+  ReuseProgram r;
+  {
+    auto fb = pb.function("dirty_trap", 0);
+    auto v = fb.const_u64(77);
+    fb.store(scratch, fb.const_u64(0), v, 0, 1);
+    fb.ret(fb.divu(v, fb.const_u64(0)));
+    r.trap_fn = fb.finish();
+  }
+  {
+    auto fb = pb.function("dirty_yield", 0);
+    auto v = fb.const_u64(77);
+    fb.store(scratch, fb.const_u64(0), v, 0, 1);
+    fb.ret(fb.ext_call(0, v, v));
+    r.yield_fn = fb.finish();
+  }
+  {
+    auto fb = pb.function("probe", 0);
+    auto unset = fb.reg();
+    auto first = fb.load(scratch, fb.const_u64(0), 0, 1);
+    fb.ret(fb.add(first, unset));
+    r.probe_fn = fb.finish();
+  }
+  r.program = pb.take();
+  return r;
+}
+
+TEST(InterpReuse, PooledMachineStartsCleanAfterTrapAndAbort) {
+  const ReuseProgram rp = reuse_program();
+  auto image = Executable::build(rp.program, CostModel::npu());
+  ASSERT_TRUE(image.ok()) << image.error().message;
+  ObjectStore store(rp.program);
+  Machine fresh(image.value(), &store);
+  const Outcome clean = fresh.run_function(rp.probe_fn, Invocation{});
+  ASSERT_EQ(clean.state, RunState::kDone);
+  EXPECT_EQ(clean.return_value, 0x11u);
+
+  Machine pooled(image.value(), &store);
+  EXPECT_EQ(pooled.run_function(rp.trap_fn, Invocation{}).state,
+            RunState::kTrap);
+  Outcome out = pooled.run_function(rp.probe_fn, Invocation{});
+  ASSERT_EQ(out.state, RunState::kDone);
+  EXPECT_EQ(out.return_value, clean.return_value);
+  EXPECT_EQ(out.cycles, clean.cycles);
+  EXPECT_EQ(out.instructions, clean.instructions);
+
+  ASSERT_EQ(pooled.run_function(rp.yield_fn, Invocation{}).state,
+            RunState::kYield);
+  EXPECT_TRUE(pooled.suspended());
+  pooled.abort();
+  EXPECT_FALSE(pooled.suspended());
+  out = pooled.run_function(rp.probe_fn, Invocation{});
+  ASSERT_EQ(out.state, RunState::kDone);
+  EXPECT_EQ(out.return_value, clean.return_value);
+  EXPECT_EQ(out.cycles, clean.cycles);
+}
+
+TEST(InterpReuse, BareProgramMachinesShareTheStoreImage) {
+  // Machines built per invocation over one program and its store lower
+  // the program once; results match a single reused Machine's.
+  const ReuseProgram rp = reuse_program();
+  ObjectStore store(rp.program);
+  Machine reused(rp.program, CostModel::npu(), &store);
+  for (int i = 0; i < 3; ++i) {
+    Machine each(rp.program, CostModel::npu(), &store);
+    EXPECT_EQ(&each.image(), &reused.image());
+    const Outcome a = each.run_function(rp.probe_fn, Invocation{});
+    const Outcome b = reused.run_function(rp.probe_fn, Invocation{});
+    EXPECT_EQ(a.return_value, b.return_value);
+    EXPECT_EQ(a.cycles, b.cycles);
+  }
+  // Another cost model gets its own image.
+  Machine host(rp.program, CostModel::host_native(), &store);
+  EXPECT_NE(&host.image(), &reused.image());
+}
+
 // Property: dynamic cycle count is monotone under appended busywork.
 class CycleMonotoneTest : public ::testing::TestWithParam<int> {};
 

@@ -117,6 +117,50 @@ TEST(Serialize, RejectsTrailingGarbage) {
   EXPECT_NE(r.error().message.find("trailing"), std::string::npos);
 }
 
+// Decodes fine but fails verification: a one-register function whose
+// kConst writes register 60000. Such an image used to deserialize, and
+// running it wrote far outside the register file.
+Program out_of_range_register_program() {
+  Program p;
+  p.name = "evil";
+  Function f;
+  f.name = "evil";
+  f.num_regs = 1;
+  BasicBlock b;
+  b.instrs.push_back({.op = Opcode::kConst, .dst = 60000, .imm = 7});
+  b.instrs.push_back({.op = Opcode::kRet, .a = 0});
+  f.blocks.push_back(b);
+  p.functions.push_back(f);
+  p.lambda_entries = {{1, 0}};
+  return p;
+}
+
+TEST(Serialize, RejectsImageThatFailsVerification) {
+  auto r = deserialize(serialize(out_of_range_register_program()));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("verify: function 'evil': register index "
+                                   "out of range at const"),
+            std::string::npos)
+      << r.error().message;
+}
+
+TEST(Serialize, UnverifiedProgramNeverExecutes) {
+  // The same program handed straight to the interpreter: lowering it is
+  // refused, and a bare-Program Machine traps with the verifier's
+  // message instead of touching register 60000.
+  const Program p = out_of_range_register_program();
+  const auto image = Executable::build(p, CostModel::npu());
+  ASSERT_FALSE(image.ok());
+  EXPECT_NE(image.error().message.find("register index out of range"),
+            std::string::npos);
+  ObjectStore store(p);
+  Machine m(p, CostModel::npu(), &store);
+  const Outcome out = m.run(Invocation{});
+  EXPECT_EQ(out.state, RunState::kTrap);
+  EXPECT_NE(out.trap_message.find("register index out of range"),
+            std::string::npos);
+}
+
 TEST(Serialize, EmptyProgramRoundTrips) {
   Program empty;
   empty.name = "empty";

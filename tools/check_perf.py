@@ -2,7 +2,7 @@
 """Validate a BENCH_perf_*.json file from the wall-clock perf suite.
 
 Usage: check_perf.py <BENCH_perf_engine.json | BENCH_perf_datapath.json
-                      | BENCH_perf_parallel.json
+                      | BENCH_perf_parallel.json | BENCH_perf_interp.json
                       | BENCH_supp_multitenant.json
                       | BENCH_supp_kv_txn.json>
 
@@ -29,6 +29,11 @@ name/value/unit) and bench-specific invariants:
   show on a 1-2 core box. Each cell also carries its stall breakdown
   (busy/barrier/sync wall components + lookahead utilization), and
   busy + barrier + sync must reconstruct the total wall time within 1%.
+- perf_interp: every standard lambda present; its per-invocation
+  instruction count equals the recorded one exactly (the interpreter's
+  cost model is the paper's contract, so any drift is a semantic
+  change, not noise); ns/instruction min <= median <= max and under a
+  loose order-of-magnitude ceiling.
 - supp_multitenant: per-tenant SLO rows present for every scenario; the
   noisy-neighbor victim's shared-card p99 within 1.25x its isolated
   baseline while the aggressor oversubscribes its DRR weight share by
@@ -387,6 +392,50 @@ def check_kv_txn(doc):
     )
 
 
+# Instructions per invocation of each standard lambda on the request
+# perf_interp sends (web page 1, GET 0xABCDEF, SET 42=99, 64x64 image).
+INTERP_INSTRUCTIONS = {
+    "web_server": 2000,
+    "kv_client_get": 2365,
+    "kv_client_set": 2367,
+    "image_transformer": 1547,
+}
+# ~10x above a slow shared VM: catches an accidental per-instruction
+# allocation or lookup, not machine-to-machine noise.
+INTERP_CEILING_NS = {
+    "web_server": 50.0,
+    "kv_client_get": 50.0,
+    "kv_client_set": 50.0,
+    "image_transformer": 200.0,  # bulk grayscale dominates
+}
+
+
+def check_interp(doc):
+    got = metrics_by_name(doc)
+    for name, expected in INTERP_INSTRUCTIONS.items():
+        for suffix in ("_instructions", "_cycles", "_ns_per_instr",
+                       "_ns_per_instr_min", "_ns_per_instr_max",
+                       "_instr_per_sec"):
+            if name + suffix not in got:
+                fail(f"perf_interp missing metric '{name + suffix}'")
+        if got[f"{name}_instructions"] != expected:
+            fail(f"{name}_instructions = {got[f'{name}_instructions']:.0f}, "
+                 f"expected exactly {expected}")
+        lo = got[f"{name}_ns_per_instr_min"]
+        mid = got[f"{name}_ns_per_instr"]
+        hi = got[f"{name}_ns_per_instr_max"]
+        if not 0 < lo <= mid <= hi:
+            fail(f"{name} ns/instr not ordered: min {lo} median {mid} "
+                 f"max {hi}")
+        if mid > INTERP_CEILING_NS[name]:
+            fail(f"{name}_ns_per_instr = {mid:.2f} above loose ceiling "
+                 f"{INTERP_CEILING_NS[name]} (order-of-magnitude "
+                 "regression?)")
+    print("check_perf: OK perf_interp "
+          + ", ".join(f"{n}={got[n + '_ns_per_instr']:.2f}ns"
+                      for n in INTERP_INSTRUCTIONS))
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
@@ -398,6 +447,8 @@ def main():
         check_datapath(doc)
     elif doc["bench"] == "perf_parallel":
         check_parallel(doc)
+    elif doc["bench"] == "perf_interp":
+        check_interp(doc)
     elif doc["bench"] == "supp_multitenant":
         check_multitenant(doc)
     elif doc["bench"] == "supp_kv_txn":
