@@ -1,26 +1,28 @@
 // Wall-clock throughput of the sharded engine: aggregate events/sec vs
-// shard count on the cluster mix, across sync modes and placements.
+// shard count on the cluster mix, across topologies and placements.
 //
 // The workload is K self-contained λ-NIC islands (SmartNIC worker + kv
 // cache + closed-loop RPC client, all pinned to one shard) with ~1/8 of
-// requests aimed at a peer island's NIC. Four configurations per shard
-// count:
+// requests aimed at a peer island's NIC. Every configuration declares
+// node locality from its placement (net::Network::set_local_only), and
+// the engine extends windows past any shard whose outbound frontier is
+// idle (sim/sharded.h). Four configurations per shard count:
 //
-//   ring          peer = next island, round-robin placement, static
-//                 sync — the PR 8 baseline, byte-identical results.
-//   ring+adaptive peer = next island, locality (block) placement so
-//                 most islands are co-sharded with their peer, EOT
-//                 adaptive sync with per-node local-only declarations.
-//   idle          peer = buddy island (i XOR 1), round-robin placement,
-//                 static sync: every pair straddles a shard boundary,
-//                 so windows stay one lookahead long.
-//   idle+adaptive same pair topology, block placement co-shards every
-//                 pair: zero cross-shard traffic, every island is
+//   ring/scatter  peer = next island, round-robin placement: every
+//                 island's peer is off-shard, every frontier stays hot.
+//   ring/block    peer = next island, block placement co-shards most
+//                 islands with their peer, cutting cross-shard posts;
+//                 every shard still hosts a remote-capable node.
+//   idle/scatter  peer = buddy island (i XOR 1), round-robin placement:
+//                 every pair straddles a shard boundary, so windows stay
+//                 one lookahead long.
+//   idle/block    same pair topology, block placement co-shards every
+//                 pair: zero cross-shard traffic, every node is
 //                 local-only, all EOT reports are +inf — the engine
 //                 collapses the whole run into a handful of windows.
 //
-// The idle pair shows the optimization's headline: identical simulated
-// workload, identical completions, but the adaptive run stops paying a
+// The idle pair shows window extension's headline: identical simulated
+// workload, identical completions, but the block run stops paying a
 // barrier every 25 us of simulated time. The ring pair shows locality
 // placement cutting cross-shard posts on a topology where extension
 // alone cannot help (every shard's frontier stays hot).
@@ -65,20 +67,19 @@ struct Island {
   std::function<void()> issue;
 };
 
-/// One (topology, placement, sync-mode) configuration of the sweep.
+/// One (topology, placement) configuration of the sweep.
 struct RunConfig {
   const char* family;   // JSON cell prefix ("shardsN" + suffix)
   const char* label;    // table row label
   bool pair_topology;   // peer = i ^ 1 instead of (i + 1) % K
-  bool locality;        // block placement instead of round-robin
-  bool adaptive;        // EOT window extension + local-only declarations
+  bool block;           // block placement instead of round-robin
 };
 
 constexpr RunConfig kConfigs[] = {
-    {"", "ring/static", false, false, false},
-    {"_adaptive", "ring/adaptive", false, true, true},
-    {"_idle_static", "idle/static", true, false, false},
-    {"_idle_adaptive", "idle/adaptive", true, true, true},
+    {"", "ring/scatter", false, false},
+    {"_block", "ring/block", false, true},
+    {"_idle_scatter", "idle/scatter", true, false},
+    {"_idle_block", "idle/block", true, true},
 };
 
 struct SweepPoint {
@@ -98,9 +99,8 @@ std::size_t peer_of(const RunConfig& config, std::size_t i) {
 unsigned shard_of_island(const RunConfig& config, std::size_t i,
                          unsigned shards) {
   // Block placement keeps neighbors together (islands {0,1} share a
-  // shard at 4 shards, {0..3} at 2); round-robin scatters them — the
-  // exact PR 8 placement, kept so static cells replay byte-for-byte.
-  if (config.locality) {
+  // shard at 4 shards, {0..3} at 2); round-robin scatters them.
+  if (config.block) {
     return static_cast<unsigned>(i * shards / kIslands);
   }
   return static_cast<unsigned>(i % shards);
@@ -140,31 +140,28 @@ SweepPoint run_point(const RunConfig& config, unsigned shards,
     islands[i].peer = islands[peer_of(config, i)].nic->node();
   }
 
-  if (config.adaptive) {
-    // Locality declarations, derived from the placement: an island's
-    // cache answers only its own NIC; its client sends off-shard only
-    // when its peer NIC lives elsewhere; its NIC replies off-shard only
-    // when some caller's client lives elsewhere. Each declaration is a
-    // hard promise the fabric enforces at send time.
-    for (std::size_t i = 0; i < kIslands; ++i) {
-      const unsigned home = shard_of_island(config, i, sharded.shards());
-      network.set_local_only(islands[i].cache->node(), true);
-      const std::size_t peer = peer_of(config, i);
-      if (shard_of_island(config, peer, sharded.shards()) == home) {
-        network.set_local_only(islands[i].client->node(), true);
-      }
-      bool callers_local = true;
-      for (std::size_t j = 0; j < kIslands; ++j) {
-        if (peer_of(config, j) != i) continue;
-        if (shard_of_island(config, j, sharded.shards()) != home) {
-          callers_local = false;
-        }
-      }
-      if (callers_local) {
-        network.set_local_only(islands[i].nic->node(), true);
+  // Locality declarations, derived from the placement: an island's
+  // cache answers only its own NIC; its client sends off-shard only when
+  // its peer NIC lives elsewhere; its NIC replies off-shard only when
+  // some caller's client lives elsewhere. Each declaration is a hard
+  // promise the fabric enforces at send time.
+  for (std::size_t i = 0; i < kIslands; ++i) {
+    const unsigned home = shard_of_island(config, i, sharded.shards());
+    network.set_local_only(islands[i].cache->node(), true);
+    const std::size_t peer = peer_of(config, i);
+    if (shard_of_island(config, peer, sharded.shards()) == home) {
+      network.set_local_only(islands[i].client->node(), true);
+    }
+    bool callers_local = true;
+    for (std::size_t j = 0; j < kIslands; ++j) {
+      if (peer_of(config, j) != i) continue;
+      if (shard_of_island(config, j, sharded.shards()) != home) {
+        callers_local = false;
       }
     }
-    network.enable_adaptive_sync();
+    if (callers_local) {
+      network.set_local_only(islands[i].nic->node(), true);
+    }
   }
 
   sharded.run_until(seconds(20));  // firmware flash
@@ -242,8 +239,8 @@ int run(std::uint64_t requests_per_island, std::uint32_t concurrency,
 
   double base_rate = 0.0;
   double rate_at_4 = 0.0;
-  double idle_static_at_4 = 0.0;
-  double idle_adaptive_at_4 = 0.0;
+  double idle_scatter_at_4 = 0.0;
+  double idle_block_at_4 = 0.0;
   double worst_sum_err = 0.0;
   for (const RunConfig& config : kConfigs) {
     for (const unsigned shards : sweep) {
@@ -297,26 +294,26 @@ int run(std::uint64_t requests_per_island, std::uint32_t concurrency,
         if (shards == 4) rate_at_4 = p.events_per_sec;
       }
       if (shards == 4 &&
-          std::strcmp(config.family, "_idle_static") == 0) {
-        idle_static_at_4 = p.events_per_sec;
+          std::strcmp(config.family, "_idle_scatter") == 0) {
+        idle_scatter_at_4 = p.events_per_sec;
       }
       if (shards == 4 &&
-          std::strcmp(config.family, "_idle_adaptive") == 0) {
-        idle_adaptive_at_4 = p.events_per_sec;
+          std::strcmp(config.family, "_idle_block") == 0) {
+        idle_block_at_4 = p.events_per_sec;
       }
     }
   }
   if (base_rate > 0 && rate_at_4 > 0) {
     const double speedup = rate_at_4 / base_rate;
-    std::printf("\n  4-shard speedup over 1 shard (ring/static): %.2fx%s\n",
+    std::printf("\n  4-shard speedup over 1 shard (ring/scatter): %.2fx%s\n",
                 speedup,
                 hw < 4 ? " (machine has <4 hw threads; not meaningful)"
                        : "");
     out.add("speedup_4x", speedup, "ratio");
   }
-  if (idle_static_at_4 > 0 && idle_adaptive_at_4 > 0) {
-    const double speedup = idle_adaptive_at_4 / idle_static_at_4;
-    std::printf("  adaptive+locality speedup at 4 shards (idle frontier): "
+  if (idle_scatter_at_4 > 0 && idle_block_at_4 > 0) {
+    const double speedup = idle_block_at_4 / idle_scatter_at_4;
+    std::printf("  block over scatter speedup at 4 shards (idle frontier): "
                 "%.2fx%s\n",
                 speedup,
                 hw < 4 ? " (machine has <4 hw threads; not meaningful)"

@@ -5,7 +5,6 @@
 #include "compiler/dce.h"
 #include "compiler/inline.h"
 #include "compiler/isolation.h"
-#include "compiler/match_reduce.h"
 #include "microc/verify.h"
 #include "p4/lower.h"
 
@@ -33,7 +32,12 @@ Result<CompileOutput> compile(const p4::MatchSpec& spec,
   }
 
   if (options.run_match_reduction) {
-    if (Status st = reduce_match_stage(spec, out.program); !st.ok()) {
+    // Match reduction (§5.1): re-lowering in reduced mode merges the
+    // per-lambda match tables into if-else sequences and drops unused
+    // header fields from the generated parser.
+    if (Status st = p4::lower_match_stage(spec, out.program,
+                                          p4::LoweringMode::kReduced);
+        !st.ok()) {
       return st.error();
     }
     out.stages.push_back({"match-reduction", microc::code_size(out.program)});

@@ -354,58 +354,11 @@ std::size_t Gateway::quarantined_count() const {
   return n;
 }
 
-void Gateway::enable_shard_affinity(const net::Network& network) {
-  affinity_net_ = &network;
-  affinity_shard_ = network.shard_of(rpc_.node());
-}
-
-namespace {
-/// Affinity only applies when the operator expressed no preference: any
-/// weight difference means the weighted cycle must be honored exactly.
-bool uniform_weights(const Route& route) {
-  if (route.replicas.empty()) return false;
-  const std::uint32_t w = route.replicas.front().weight;
-  for (const auto& replica : route.replicas) {
-    if (replica.weight != w) return false;
-  }
-  return true;
-}
-}  // namespace
-
 NodeId Gateway::pick_worker(const std::string& name, const Route& route) {
   const std::size_t cursor = rr_cursor_[name]++;
   std::uint64_t healthy_weight = 0;
   for (const auto& replica : route.replicas) {
     if (!is_quarantined(replica.node)) healthy_weight += replica.weight;
-  }
-  // Shard-affinity fast path: at equal weight, a co-sharded replica
-  // serves the request without a cross-shard fabric hop. Quarantine
-  // still wins (a sick local replica never shadows a healthy remote
-  // one), and an empty co-sharded subset falls through to the normal
-  // weighted rotation over all healthy replicas.
-  if (affinity_net_ != nullptr && healthy_weight > 0 &&
-      uniform_weights(route)) {
-    std::size_t co_sharded = 0;
-    for (const auto& replica : route.replicas) {
-      if (is_quarantined(replica.node)) continue;
-      if (affinity_net_->shard_of(replica.node) == affinity_shard_) {
-        ++co_sharded;
-      }
-    }
-    if (co_sharded > 0) {
-      std::size_t slot = cursor % co_sharded;
-      for (const auto& replica : route.replicas) {
-        if (is_quarantined(replica.node)) continue;
-        if (affinity_net_->shard_of(replica.node) != affinity_shard_) {
-          continue;
-        }
-        if (slot == 0) {
-          metrics_.counter("gateway_affinity_co_shard_total").increment();
-          return replica.node;
-        }
-        --slot;
-      }
-    }
   }
   // Everything quarantined: fall back to the full set so traffic keeps
   // probing the replicas rather than failing unroutable.

@@ -128,16 +128,6 @@ class Gateway {
   /// series the gateway writes through this helper.
   Labels metric_labels(const std::string& name) const;
 
-  /// Shard-affinity replica selection: prefer replicas living on the
-  /// gateway's own shard when every replica in a route carries the same
-  /// weight (round robin over the co-sharded healthy subset, counted in
-  /// `gateway_affinity_co_shard_total`). Routes with differing weights
-  /// keep the exact weighted semantics — operator-chosen bias beats
-  /// locality. `network` must be the fabric this gateway's node is
-  /// attached to and must outlive the gateway. Off by default; with it
-  /// off the dispatcher is byte-for-byte the legacy weighted pick.
-  void enable_shard_affinity(const net::Network& network);
-
   /// Installs a per-function token-bucket limit; excess requests fail
   /// fast with a throttle error (and count in the metrics).
   void set_rate_limit(const std::string& name, RateLimit limit);
@@ -246,10 +236,6 @@ class Gateway {
   sim::Simulator& sim_;
   GatewayConfig config_;
   proto::RpcClient rpc_;
-  // Shard-affinity routing (enable_shard_affinity): the fabric consulted
-  // for replica shards, and the shard this gateway's node lives on.
-  const net::Network* affinity_net_ = nullptr;
-  unsigned affinity_shard_ = 0;
   trace::TraceRecorder* tracer_ = nullptr;
   double sample_rate_ = 1.0;
   double sample_accum_ = 0.0;

@@ -169,10 +169,10 @@ void HostServer::enter_stage(Stage& stage, std::unique_ptr<Job> job,
     ++stage.busy;
     ++busy_units_;
     stats_.busy_time += service;
-    Job* raw = job.release();
-    sim_.schedule(service, [this, &stage, raw, next]() {
-      stage_done(stage, std::unique_ptr<Job>(raw), next);
-    });
+    sim_.schedule(service,
+                  [this, &stage, job = std::move(job), next]() mutable {
+                    stage_done(stage, std::move(job), next);
+                  });
   } else {
     // The kernel stage serves both ingress (kRuntime / kGil for resumes)
     // and egress (kDone); remember where this job goes next.
@@ -193,9 +193,9 @@ void HostServer::stage_done(Stage& stage, std::unique_ptr<Job> job,
     stage.queue.pop_front();
     const Next queued_next = static_cast<Next>(queued->next_tag);
     stats_.busy_time += service;
-    Job* raw = queued.release();
-    sim_.schedule(service, [this, &stage, raw, queued_next]() {
-      stage_done(stage, std::unique_ptr<Job>(raw), queued_next);
+    sim_.schedule(service, [this, &stage, queued = std::move(queued),
+                            queued_next]() mutable {
+      stage_done(stage, std::move(queued), queued_next);
     });
   } else {
     --stage.busy;
@@ -261,9 +261,7 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
     service += exec;
     stats_.busy_time += service;
     job->outcome = std::move(outcome);
-    Job* raw = job.release();
-    sim_.schedule(service, [this, raw]() {
-      auto owned = std::unique_ptr<Job>(raw);
+    sim_.schedule(service, [this, owned = std::move(job)]() mutable {
       if (owned->exec_span != trace::kInvalidSpan) {
         tracer_->end_span(owned->exec_span, sim_.now());
         owned->exec_span = trace::kInvalidSpan;

@@ -37,6 +37,23 @@ Network::Network(sim::ShardedSimulator& sharded, LinkConfig link,
   // state on the destination shard is touched. This is the lookahead
   // contract; zero-delay links are rejected by validate_lookahead().
   sharded.constrain_lookahead(link_.propagation + link_.switch_latency);
+  for (unsigned s = 0; s < sharded.shards(); ++s) {
+    // Pure function of simulated state: the remote-capable census is
+    // fixed after setup and next_event_time() is the shard's own queue.
+    // A shard with no remote-capable nodes can never send off-shard, so
+    // its outbound frontier is idle by construction.
+    sharded.set_eot_source(s, [this, s]() -> SimTime {
+      return remote_ports_[s] == 0 ? kSimTimeMax
+                                   : sharded_->shard(s).next_event_time();
+    });
+  }
+}
+
+Network::~Network() {
+  if (sharded_ == nullptr) return;
+  for (unsigned s = 0; s < sharded_->shards(); ++s) {
+    sharded_->set_eot_source(s, nullptr);
+  }
 }
 
 void Network::set_attach_shard(unsigned shard) {
@@ -73,21 +90,6 @@ void Network::set_local_only(NodeId node, bool local_only) {
   } else {
     ++remote_ports_[port.shard];
   }
-}
-
-void Network::enable_adaptive_sync() {
-  if (sharded_ == nullptr) return;
-  for (unsigned s = 0; s < sharded_->shards(); ++s) {
-    // Pure function of simulated state: the remote-capable census is
-    // fixed after setup and next_event_time() is the shard's own queue.
-    // A shard with no remote-capable nodes can never send off-shard, so
-    // its outbound frontier is idle by construction.
-    sharded_->set_eot_source(s, [this, s]() -> SimTime {
-      return remote_ports_[s] == 0 ? kSimTimeMax
-                                   : sharded_->shard(s).next_event_time();
-    });
-  }
-  sharded_->set_adaptive_sync(true);
 }
 
 void Network::set_handler(NodeId node, PacketHandler handler) {
@@ -173,8 +175,8 @@ void Network::send_local(Packet packet, sim::Simulator& sim, Rng& rng) {
 void Network::send_cross(Packet packet, unsigned src_shard,
                          unsigned dst_shard) {
   if (ports_[packet.src].local_only) {
-    // The locality promise feeds adaptive EOT reports; breaking it could
-    // deliver into another shard's past, so fail loudly in every mode.
+    // The locality promise feeds the shard's EOT report; breaking it
+    // could deliver into another shard's past, so fail loudly.
     std::fprintf(stderr,
                  "Network::send_cross: node %llu was declared local-only "
                  "(set_local_only) but sent from shard %u to shard %u — fix "

@@ -22,10 +22,10 @@
 // delay the conservative-sync contract. With one shard the classic
 // synchronous path runs unchanged, byte-for-byte.
 //
-// Adaptive sync: set_local_only() lets topology-aware callers declare
-// nodes that never send off-shard; enable_adaptive_sync() turns those
-// declarations into per-shard EOT sources so idle-frontier shards stop
-// capping the engine's window length (see sim/sharded.h).
+// EOT sources: the sharded constructor registers one per shard, fed by
+// set_local_only() declarations of nodes that never send off-shard, so
+// idle-frontier shards stop capping the engine's window length (see
+// sim/sharded.h).
 #pragma once
 
 #include <atomic>
@@ -64,9 +64,14 @@ class Network {
 
   /// Sharded fabric: nodes attach to the shard selected by
   /// set_attach_shard() and sends route to the destination's shard.
-  /// Registers propagation + switch latency as the simulator's lookahead.
+  /// Registers propagation + switch latency as the simulator's lookahead,
+  /// and one EOT source per shard: +inf while the shard has no
+  /// remote-capable node attached, else the shard's next_event_time()
+  /// (the earliest anything can run there, hence the earliest it could
+  /// send). The destructor unregisters them.
   Network(sim::ShardedSimulator& sharded, LinkConfig link = {},
           FaultConfig faults = {}, std::uint64_t seed = 1);
+  ~Network();
 
   /// Selects the shard that subsequently attached nodes live on (sharded
   /// mode only; ignored otherwise). A node's handler runs on its shard's
@@ -89,21 +94,13 @@ class Network {
   /// cache that only its co-sharded worker talks to, or a client whose
   /// one peer is co-sharded). Default false — every node is assumed
   /// remote-capable, which is always sound. A shard whose attached nodes
-  /// are all local-only has an idle outbound frontier, so its adaptive
-  /// EOT report is +inf and it never caps a window. The declaration is a
-  /// hard promise: a local-only node sending cross-shard aborts, in
-  /// every mode, so a misdeclaration can never silently corrupt an
-  /// adaptive replay. Call during setup (before runs).
+  /// are all local-only has an idle outbound frontier, so its EOT report
+  /// is +inf and it never caps a window. The declaration is a hard
+  /// promise: a local-only node sending cross-shard aborts, so a
+  /// misdeclaration can never silently corrupt a replay. Call during
+  /// setup (before runs).
   void set_local_only(NodeId node, bool local_only);
   bool local_only(NodeId node) const { return ports_[node].local_only; }
-
-  /// Turns on EOT-based adaptive window extension (sharded mode only;
-  /// no-op otherwise): registers one EOT source per shard — +inf when
-  /// the shard has zero remote-capable nodes attached, else the shard's
-  /// next_event_time() (the earliest anything can run there, hence the
-  /// earliest it could send). Then enables adaptive sync on the engine.
-  /// Call after attaching nodes and declaring locality.
-  void enable_adaptive_sync();
 
   /// Queues `packet` for delivery. src/dst must be attached nodes.
   void send(Packet packet);

@@ -17,7 +17,7 @@
 // for a conservative-barrier engine IS the barrier wait (run_until
 // never sleeps mid-window), plus the shard's share of the serial sync.
 //
-// Adaptive windows (see sim/sharded.h) add two readings: per window,
+// EOT window extension (see sim/sharded.h) adds two readings: per window,
 // whether the span came from the static lookahead floor or an EOT
 // extension, and the mean simulated window span. Lookahead utilization
 // clamps each window's contribution to the lookahead horizon so it
@@ -46,7 +46,7 @@ struct ShardStats {
   unsigned shards = 1;
   std::uint64_t windows = 0;
   /// Windows whose end was pushed past the static lookahead floor by an
-  /// EOT report (adaptive sync; 0 in static mode).
+  /// EOT report (0 unless some shard's outbound frontier is idle).
   std::uint64_t windows_extended = 0;
   /// Wall nanoseconds inside run()/run_until() calls (all of them).
   std::uint64_t total_wall_ns = 0;

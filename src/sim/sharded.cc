@@ -41,7 +41,7 @@ std::uint64_t run_shard(Simulator& sim, SimTime end) {
   std::fprintf(stderr,
                "ShardedSimulator: EOT contract violation: shard %u posted a "
                "cross-shard event to shard %u at t=%" PRId64
-               " ns inside the adaptive window ending t=%" PRId64
+               " ns inside the window ending t=%" PRId64
                " ns; an EOT source promised no sends this early (check "
                "net::Network::set_local_only declarations)\n",
                src, dst, at, window_end);
@@ -118,11 +118,12 @@ void ShardedSimulator::post(unsigned src, unsigned dst, SimTime at,
   Shard& shard = shards_[src];
   if (at < shard.sim->now()) die_lookahead(at, src, shard.sim->now());
   // A cross-shard arrival inside the current window means another shard
-  // may already be past `at` — the static lookahead makes this impossible
-  // (at >= t + L > end), so in adaptive mode it can only mean an EOT
-  // source under-promised. Catch it here, deterministically, instead of
-  // letting a sometimes-late delivery corrupt replays.
-  if (adaptive_ && window_active_ && at <= window_end_) {
+  // may already be past `at` — a post honoring the lookahead from a
+  // shard honoring its EOT lands at or after EOT + L > end, so this can
+  // only mean an EOT source under-promised. Catch it here,
+  // deterministically, instead of letting a sometimes-late delivery
+  // corrupt replays.
+  if (window_active_ && at <= window_end_) {
     die_eot(at, src, dst, window_end_);
   }
   const std::uint64_t gseq =
@@ -251,23 +252,21 @@ std::uint64_t ShardedSimulator::run_windows(SimTime deadline, bool drain,
     bool eot_extended = false;
     if (lookahead_ != kSimTimeMax && deadline - t0 > len - 1) {
       end = t0 + len - 1;
-      if (adaptive_) {
-        // Same safety argument anchored at the earliest possible send
-        // instead of the window start: a send at t >= eot lands at
-        // t + L > eot + L - 1. The static floor above means adaptive
-        // never shortens a window; the deadline still caps it.
-        const SimTime eot = min_eot();
-        SimTime eot_end;
-        if (eot >= kSimTimeMax - len) {
-          eot_end = kSimTimeMax;  // idle frontier: run to the horizon
-        } else {
-          eot_end = eot + len - 1;
-        }
-        eot_end = std::min(eot_end, deadline);
-        if (eot_end > end) {
-          end = eot_end;
-          eot_extended = true;
-        }
+      // Same safety argument anchored at the earliest possible send
+      // instead of the window start: a send at t >= eot lands at
+      // t + L > eot + L - 1. The static floor above means extension
+      // never shortens a window; the deadline still caps it.
+      const SimTime eot = min_eot();
+      SimTime eot_end;
+      if (eot >= kSimTimeMax - len) {
+        eot_end = kSimTimeMax;  // idle frontier: run to the horizon
+      } else {
+        eot_end = eot + len - 1;
+      }
+      eot_end = std::min(eot_end, deadline);
+      if (eot_end > end) {
+        end = eot_end;
+        eot_extended = true;
       }
     }
     total += run_window(t0, end, eot_extended);

@@ -19,25 +19,24 @@
 // current window, so no shard can ever receive an event in its past.
 // Windows need no null messages: the barrier itself is the sync point.
 //
-// Adaptive sync (opt-in, EOT-style): the static window span assumes every
-// shard might send cross-shard immediately, which makes windows exactly
-// one lookahead long even when most shards' outbound frontiers are idle.
-// With set_adaptive_sync(true), the coordinator asks each shard for its
-// earliest possible cross-shard send time (EOT) before opening a window
-// and sets
+// EOT window extension: the span above assumes every shard might send
+// cross-shard immediately, which makes windows exactly one lookahead long
+// even when most shards' outbound frontiers are idle. So before opening
+// a window the coordinator also asks each shard for its earliest possible
+// cross-shard send time (EOT) and sets
 //
 //   end = max(T0 + lookahead - 1, min_over_shards(EOT) + lookahead - 1)
 //
 // A send at t >= min EOT arrives at t + lookahead > end, so the extended
 // window is exactly as safe as the static one; the static term keeps the
-// floor so adaptive never produces a *shorter* window. EOT sources are
+// floor so a window is never shorter than one lookahead. EOT sources are
 // registered per shard (the network fabric derives them from per-node
 // locality declarations — see net::Network::set_local_only); a shard
-// without a source defaults to next_event_time(), which is always sound
-// and yields no extension. When every shard reports +inf the window
-// extends to the run horizon. EOTs are pure functions of simulated state,
-// so adaptive runs stay bit-reproducible for a fixed shard count + seed;
-// a stale or lying EOT source is caught at post time and aborts.
+// without a source reports next_event_time(), which is always sound and
+// yields no extension. When every shard reports +inf the window extends
+// to the run horizon. EOTs are pure functions of simulated state, so
+// runs stay bit-reproducible for a fixed shard count + seed; a stale or
+// lying EOT source is caught at post time and aborts.
 //
 // Determinism: cross-shard posts are stamped (time, global-seq) where
 // global-seq packs {source shard : 16, per-source count : 48}. The merge
@@ -51,8 +50,7 @@
 // Single-shard mode bypasses all of this: every call delegates straight
 // to the one underlying Simulator on the calling thread, so shards=1
 // dispatches in the exact (time, seq) order of the classic engine and
-// every deterministic bench replays byte-for-byte — adaptive mode
-// included, since windows never exist.
+// every deterministic bench replays byte-for-byte.
 #pragma once
 
 #include <condition_variable>
@@ -97,10 +95,9 @@ class ShardedSimulator {
   /// cross-shard coupling (the network fabric) with its minimum
   /// interaction latency; the effective lookahead is the min over all
   /// callers. Must be positive — validate_lookahead() reports violations.
-  /// Safe to call after set_adaptive_sync(): both the static floor and
-  /// the EOT extension are recomputed from the current lookahead at every
-  /// window, so a late, tighter constraint re-tightens adaptive windows
-  /// too.
+  /// Safe to call between runs: both the static floor and the EOT
+  /// extension are recomputed from the current lookahead at every
+  /// window, so a late, tighter constraint re-tightens later windows.
   void constrain_lookahead(SimDuration min_delay);
   SimDuration lookahead() const { return lookahead_; }
 
@@ -110,24 +107,19 @@ class ShardedSimulator {
   /// another shard's past).
   Status validate_lookahead() const;
 
-  /// Enables EOT-based adaptive window extension (see file header). Call
-  /// from the coordinating thread between runs, never mid-run. Off by
-  /// default: static mode is byte-for-byte the PR 6 engine.
-  void set_adaptive_sync(bool on) { adaptive_ = on; }
-  bool adaptive_sync() const { return adaptive_; }
-
-  /// Registers shard `s`'s EOT source. Unset shards report
-  /// next_event_time(), which is sound but never extends a window.
+  /// Registers shard `s`'s EOT source (see file header). Unset shards
+  /// report next_event_time(), which is sound but never extends a
+  /// window. Call from the coordinating thread between runs.
   void set_eot_source(unsigned s, EotFn fn);
 
   /// Enqueues `fn` on shard `dst` at absolute time `at`, stamped with the
   /// next (time, global-seq) key from shard `src`. Must be called from
   /// code running on shard `src` (or from the coordinating thread between
   /// windows). Cross-shard posts inside a window must satisfy
-  /// `at >= shard(src).now() + lookahead()`; violations abort. In
-  /// adaptive mode, a post landing inside the current window additionally
-  /// aborts as an EOT-contract violation (some shard promised a later
-  /// send than actually happened).
+  /// `at >= shard(src).now() + lookahead()`; violations abort. A post
+  /// landing inside the current window aborts as an EOT-contract
+  /// violation (some shard promised a later send than actually happened,
+  /// or a coupling posted with less than the lookahead).
   void post(unsigned src, unsigned dst, SimTime at, EventFn fn);
 
   /// Runs until every shard drains (cross-shard mail included). Returns
@@ -141,8 +133,8 @@ class ShardedSimulator {
   /// As run_until, but re-evaluates `stop` at every window barrier and
   /// returns early (shards aligned at the last window's end) once it
   /// turns true. Lets callers wait for a completion flag in workloads
-  /// whose event queues never drain (heartbeats, periodic timers). Note
-  /// that adaptive mode coarsens barrier granularity, so runs may
+  /// whose event queues never drain (heartbeats, periodic timers). An
+  /// EOT-extended window coarsens barrier granularity, so runs may
   /// overshoot the stop condition by up to one extended window span.
   std::uint64_t run_until(SimTime deadline, const std::function<bool()>& stop);
 
@@ -220,15 +212,14 @@ class ShardedSimulator {
   std::uint64_t run_windows(SimTime deadline, bool drain,
                             const std::function<bool()>* stop);
 
-  /// min over shards of their EOT report (adaptive mode; coordinator
-  /// thread, between windows).
+  /// min over shards of their EOT report (coordinator thread, between
+  /// windows).
   SimTime min_eot() const;
 
   void worker_loop(unsigned s);
 
   std::vector<Shard> shards_;
   SimDuration lookahead_ = kSimTimeMax;
-  bool adaptive_ = false;
   std::vector<EotFn> eot_sources_;
   std::uint64_t windows_ = 0;
   std::uint64_t windows_extended_ = 0;

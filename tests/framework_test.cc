@@ -15,7 +15,6 @@
 #include "framework/storage.h"
 #include "kvstore/cache_server.h"
 #include "net/network.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "workloads/lambdas.h"
 
@@ -145,65 +144,6 @@ TEST(Gateway, WeightedReplicasSplitTrafficProportionally) {
   EXPECT_EQ(done, 40);
   EXPECT_EQ(hits[0], 30);  // weight 3 of 4
   EXPECT_EQ(hits[1], 10);  // weight 1 of 4
-}
-
-/// Two echo replicas on a 2-shard fabric: w[0] remote (shard 1), w[1]
-/// co-sharded with the gateway (shard 0). Returns per-replica hit
-/// counts after `requests` invocations.
-void run_affinity_split(std::uint32_t weight0, std::uint32_t weight1,
-                        int requests, int hits[2]) {
-  sim::ShardedSimulator sharded(2);
-  net::Network network(sharded);
-  NodeId w[2];
-  network.set_attach_shard(1);
-  w[0] = network.attach(nullptr);
-  network.set_attach_shard(0);
-  w[1] = network.attach(nullptr);
-  for (int i = 0; i < 2; ++i) {
-    network.set_handler(w[i], [&network, &w, hits, i](const net::Packet& p) {
-      if (p.kind != net::PacketKind::kRequest) return;
-      ++hits[i];
-      net::Packet reply;
-      reply.src = w[i];
-      reply.dst = p.src;
-      reply.kind = net::PacketKind::kResponse;
-      reply.lambda = p.lambda;
-      network.send(reply);
-    });
-  }
-  Gateway gateway(sharded.shard(0), network);
-  gateway.enable_shard_affinity(network);
-  gateway.register_replicas("f", 1,
-                            {Replica{w[0], weight0, kUnknownBackendKind},
-                             Replica{w[1], weight1, kUnknownBackendKind}});
-  int done = 0;
-  for (int i = 0; i < requests; ++i) {
-    gateway.invoke("f", {}, [&done](Result<proto::RpcResponse> r) {
-      EXPECT_TRUE(r.ok());
-      ++done;
-    });
-  }
-  sharded.run();
-  EXPECT_EQ(done, requests);
-}
-
-TEST(Gateway, ShardAffinityPrefersCoShardedReplicaAtEqualWeight) {
-  // Equal weights say "any replica is fine" — affinity routing may then
-  // keep every request on the gateway's own shard.
-  int hits[2] = {0, 0};
-  run_affinity_split(/*weight0=*/1, /*weight1=*/1, /*requests=*/12, hits);
-  EXPECT_EQ(hits[0], 0);   // remote replica skipped
-  EXPECT_EQ(hits[1], 12);  // co-sharded replica took everything
-}
-
-TEST(Gateway, ShardAffinityDegradesToWeightedWhenWeightsDiffer) {
-  // Unequal weights encode intent (canary splits, capacity skew);
-  // affinity must not override them. Exact weighted proportions, same
-  // as the single-shard WeightedReplicasSplitTrafficProportionally.
-  int hits[2] = {0, 0};
-  run_affinity_split(/*weight0=*/3, /*weight1=*/1, /*requests=*/40, hits);
-  EXPECT_EQ(hits[0], 30);  // remote but weight 3 of 4
-  EXPECT_EQ(hits[1], 10);
 }
 
 struct GatewayRig {

@@ -187,5 +187,20 @@ TEST(HostServer, AllRequestsCompleteUnderBurst) {
   EXPECT_EQ(rig.host->stats().requests_dropped, 0u);
 }
 
+TEST(HostServer, TeardownMidRunFreesInFlightJobs) {
+  // Jobs in kernel/runtime/GIL service ride inside scheduled events.
+  // Destroying the rig (host first, simulator last) while they are in
+  // flight must free them with the pending events; the ASan leak
+  // checker flags any job that outlives its event.
+  auto rig = std::make_unique<Rig>();
+  for (RequestId id = 1; id <= 8; ++id) {
+    rig->send(workloads::kWebServerId, encode_web_request(id & 3), id);
+  }
+  rig->sim.run_until(rig->sim.now() + microseconds(200));
+  EXPECT_TRUE(rig->responses.empty());
+  EXPECT_GT(rig->sim.pending(), 0u);
+  rig.reset();
+}
+
 }  // namespace
 }  // namespace lnic::hostsim

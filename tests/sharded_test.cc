@@ -87,63 +87,84 @@ TEST(ShardedSimulator, StopPredicateEndsRunAtBarrier) {
   EXPECT_LT(sharded.now(), seconds(1));
 }
 
-TEST(ShardedSimulator, AdaptiveEotOnWindowBoundaryDoesNotExtend) {
+TEST(ShardedSimulator, EotOnWindowBoundaryDoesNotExtend) {
   // An EOT exactly at the window start yields eot + L - 1 == the static
   // end: extension must not trigger (it never shortens, and equal is
   // not longer).
   sim::ShardedSimulator sharded(2);
   sharded.constrain_lookahead(microseconds(10));
-  sharded.set_adaptive_sync(true);
-  int fired = 0;
-  sharded.shard(0).schedule_at(microseconds(5), [&fired] { ++fired; });
-  sharded.shard(1).schedule_at(microseconds(5), [&fired] { ++fired; });
+  // One counter per shard: both events run in the same window, on
+  // different threads.
+  int fired[2] = {0, 0};
+  sharded.shard(0).schedule_at(microseconds(5), [&fired] { ++fired[0]; });
+  sharded.shard(1).schedule_at(microseconds(5), [&fired] { ++fired[1]; });
   EXPECT_EQ(sharded.run(), 2u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired[0] + fired[1], 2);
   EXPECT_EQ(sharded.windows_executed(), 1u);
   EXPECT_EQ(sharded.windows_extended(), 0u);
 }
 
-TEST(ShardedSimulator, AdaptiveIdleFrontierCollapsesDrainToOneWindow) {
+TEST(ShardedSimulator, IdleFrontierCollapsesDrainToOneWindow) {
   // When every shard reports an idle outbound frontier (EOT == +inf),
-  // the drain collapses into a single horizon-length window; the static
-  // engine pays one barrier per lookahead instead.
-  const auto load = [](sim::ShardedSimulator& sharded, int* fired) {
+  // the drain collapses into a single horizon-length window; without
+  // EOT sources every shard reports its next event and the engine pays
+  // one barrier per lookahead instead.
+  // Each shard bumps its own counter (the shards run concurrently);
+  // the totals are summed after run().
+  const auto load = [](sim::ShardedSimulator& sharded, int fired[2]) {
     for (unsigned s = 0; s < 2; ++s) {
       for (int i = 0; i < 100; ++i) {
         sharded.shard(s).schedule_at(microseconds(i),
-                                     [fired] { ++*fired; });
+                                     [fired, s] { ++fired[s]; });
       }
     }
   };
 
-  sim::ShardedSimulator fixed(2);
-  fixed.constrain_lookahead(microseconds(1));
-  int fired_fixed = 0;
-  load(fixed, &fired_fixed);
-  fixed.run();
-  EXPECT_EQ(fired_fixed, 200);
-  EXPECT_GE(fixed.windows_executed(), 50u);
+  sim::ShardedSimulator hot(2);
+  hot.constrain_lookahead(microseconds(1));
+  int fired_hot[2] = {0, 0};
+  load(hot, fired_hot);
+  hot.run();
+  EXPECT_EQ(fired_hot[0] + fired_hot[1], 200);
+  EXPECT_GE(hot.windows_executed(), 50u);
+  EXPECT_EQ(hot.windows_extended(), 0u);
 
-  sim::ShardedSimulator adaptive(2);
-  adaptive.constrain_lookahead(microseconds(1));
+  sim::ShardedSimulator idle(2);
+  idle.constrain_lookahead(microseconds(1));
   for (unsigned s = 0; s < 2; ++s) {
-    adaptive.set_eot_source(s, [] { return kSimTimeMax; });
+    idle.set_eot_source(s, [] { return kSimTimeMax; });
   }
-  adaptive.set_adaptive_sync(true);
-  int fired_adaptive = 0;
-  load(adaptive, &fired_adaptive);
-  adaptive.run();
-  EXPECT_EQ(fired_adaptive, 200);
-  EXPECT_EQ(adaptive.windows_executed(), 1u);
-  EXPECT_EQ(adaptive.windows_extended(), 1u);
+  int fired_idle[2] = {0, 0};
+  load(idle, fired_idle);
+  idle.run();
+  EXPECT_EQ(fired_idle[0] + fired_idle[1], 200);
+  EXPECT_EQ(idle.windows_executed(), 1u);
+  EXPECT_EQ(idle.windows_extended(), 1u);
+}
+
+TEST(ShardedSimulatorDeathTest, InWindowCrossShardPostBreaksEotContract) {
+  // A cross-shard post from inside a window that lands at or before the
+  // window end could reach a shard already past it; the engine aborts
+  // instead of delivering late. Here the post honors neither the
+  // lookahead nor the (default, next-event) EOT.
+  EXPECT_DEATH(
+      {
+        sim::ShardedSimulator sharded(2);
+        sharded.constrain_lookahead(microseconds(10));
+        sharded.shard(0).schedule_at(microseconds(5), [&sharded] {
+          sharded.post(0, 1, microseconds(6), sim::EventFn([] {}));
+        });
+        sharded.run();
+      },
+      "EOT contract violation: shard 0 posted a cross-shard event to "
+      "shard 1");
 }
 
 TEST(ShardedSimulator, LateConstrainLookaheadTightensAdaptiveFloor) {
-  // constrain_lookahead() arriving after adaptive sync is enabled (a
-  // link attached late) must still tighten the static window floor.
+  // constrain_lookahead() arriving between runs (a link attached late)
+  // must still tighten the static window floor.
   sim::ShardedSimulator sharded(2);
   sharded.constrain_lookahead(microseconds(100));
-  sharded.set_adaptive_sync(true);
   for (unsigned s = 0; s < 2; ++s) {
     for (int i = 0; i < 10; ++i) {
       sharded.shard(s).schedule_at(microseconds(10 * i), [] {});
@@ -206,13 +227,11 @@ TEST(ShardedCluster, ZeroDelayLinkRejectedAtDeploy) {
 
 std::vector<SimDuration> run_cluster_web(unsigned shards, int requests,
                                          std::uint64_t* cross_posts,
-                                         bool adaptive = false,
-                                         std::uint64_t* windows = nullptr) {
+                                         std::uint64_t* windows = nullptr,
+                                         std::uint64_t* extended = nullptr) {
   core::ClusterConfig config;
   config.workers = 4;
   config.shards = shards;
-  config.adaptive_sync = adaptive;
-  config.shard_affinity_routing = adaptive;
   core::Cluster cluster(config);
   auto deployed = cluster.deploy(workloads::make_standard_workloads());
   EXPECT_TRUE(deployed.ok());
@@ -227,6 +246,7 @@ std::vector<SimDuration> run_cluster_web(unsigned shards, int requests,
   }
   if (cross_posts != nullptr) *cross_posts = cluster.sharded().cross_shard_posts();
   if (windows != nullptr) *windows = cluster.sharded().windows_executed();
+  if (extended != nullptr) *extended = cluster.sharded().windows_extended();
   return latencies;
 }
 
@@ -255,29 +275,22 @@ TEST(ShardedCluster, FixedShardCountIsDeterministic) {
 }
 
 TEST(ShardedCluster, AdaptiveSyncRunIsBitReproducible) {
-  // Adaptive window extension moves *barriers*, never simulated truth:
-  // two identical adaptive runs must agree event-for-event, including
-  // the window count and cross-shard traffic.
+  // EOT-driven window extension moves *barriers*, never simulated
+  // truth: two identical runs must agree event-for-event, including the
+  // window and extension counts and cross-shard traffic.
   std::uint64_t posts_a = 0;
   std::uint64_t posts_b = 0;
   std::uint64_t windows_a = 0;
   std::uint64_t windows_b = 0;
-  const auto a =
-      run_cluster_web(4, 15, &posts_a, /*adaptive=*/true, &windows_a);
-  const auto b =
-      run_cluster_web(4, 15, &posts_b, /*adaptive=*/true, &windows_b);
+  std::uint64_t extended_a = 0;
+  std::uint64_t extended_b = 0;
+  const auto a = run_cluster_web(4, 15, &posts_a, &windows_a, &extended_a);
+  const auto b = run_cluster_web(4, 15, &posts_b, &windows_b, &extended_b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(posts_a, posts_b);
   EXPECT_EQ(windows_a, windows_b);
+  EXPECT_EQ(extended_a, extended_b);
   EXPECT_GT(windows_a, 0u);
-}
-
-TEST(ShardedCluster, AdaptiveSingleShardMatchesClassicEngine) {
-  // shards == 1 bypasses the window machinery entirely, so the adaptive
-  // flag must be a no-op there: same latencies as the classic engine.
-  const auto classic = run_cluster_web(1, 15, nullptr, /*adaptive=*/false);
-  const auto adaptive = run_cluster_web(1, 15, nullptr, /*adaptive=*/true);
-  EXPECT_EQ(classic, adaptive);
 }
 
 TEST(ShardedCluster, WorkerIslandsCoShardDeclaredIslands) {

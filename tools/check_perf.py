@@ -16,15 +16,15 @@ name/value/unit) and bench-specific invariants:
 - perf_datapath: the fragmented-RPC scenario must copy ZERO payload
   bytes (the whole point of the buffer layer) and share a nonzero
   number; the cluster scenario likewise copies nothing.
-- perf_parallel: all four configuration families (ring/static,
-  ring/adaptive, idle/static, idle/adaptive — the sync-mode x placement
+- perf_parallel: all four configuration families (ring/scatter,
+  ring/block, idle/scatter, idle/block — the topology x placement
   matrix) ran at every swept shard count and completed the identical
   closed-loop request count; cross-shard posts flowed in the scattered
   placements; on the idle-frontier topology with co-shardable pairs the
-  adaptive run produced zero cross posts and strictly fewer
-  (EOT-extended) windows than static sync. The 4-shard aggregate
-  events/sec must be >= 2x the 1-shard rate and the idle-frontier
-  adaptive run >= 1.3x its static twin — both floors enforced only when
+  block run produced zero cross posts and strictly fewer (EOT-extended)
+  windows than the scattered run. The 4-shard aggregate events/sec must
+  be >= 2x the 1-shard rate and the idle-frontier block run >= 1.3x its
+  scattered twin — both floors enforced only when
   the recorded hw_threads >= 4, since the parallelism physically cannot
   show on a 1-2 core box. Each cell also carries its stall breakdown
   (busy/barrier/sync wall components + lookahead utilization), and
@@ -136,9 +136,9 @@ def check_datapath(doc):
 
 
 # Every (shard count, configuration) cell of perf_parallel carries the
-# same column set; the four families are the sync/placement matrix the
-# bench sweeps (see bench/perf_parallel.cc).
-PARALLEL_FAMILIES = ("", "_adaptive", "_idle_static", "_idle_adaptive")
+# same column set; the four families are the topology/placement matrix
+# the bench sweeps (see bench/perf_parallel.cc).
+PARALLEL_FAMILIES = ("", "_block", "_idle_scatter", "_idle_block")
 PARALLEL_SUFFIXES = (
     "_events_per_sec", "_dispatched", "_completed", "_cross_posts",
     "_windows", "_windows_extended", "_window_span_ns",
@@ -176,8 +176,8 @@ def check_parallel(doc):
             if got[f"{cell}_dispatched"] <= 0:
                 fail(f"{cell}_dispatched is zero — cell did not run")
             # Closed-loop: every cell completes the same request count —
-            # neither shard count, placement, nor sync mode may change
-            # the simulated outcome.
+            # neither shard count nor placement may change the simulated
+            # outcome.
             if completed is None:
                 completed = got[f"{cell}_completed"]
             elif got[f"{cell}_completed"] != completed:
@@ -186,13 +186,13 @@ def check_parallel(doc):
                     f"{completed:.0f}; configuration changed the simulated "
                     "result"
                 )
-            if s > 1 and family in ("", "_idle_static"):
+            if s > 1 and family in ("", "_idle_scatter"):
                 if got[f"{cell}_cross_posts"] <= 0:
                     fail(f"{cell}_cross_posts is zero — no cross-shard "
                          "traffic in a scattered placement")
                 if got[f"{cell}_windows"] <= 0:
-                    fail(f"{cell}_windows is zero — static sync ran no "
-                         "windows")
+                    fail(f"{cell}_windows is zero — scattered placement "
+                         "ran no windows")
             # Stall breakdown: the busy/barrier/sync components must be
             # present and reconstruct the measured wall time within 1%.
             if got[f"{cell}_wall_ns"] <= 0:
@@ -210,27 +210,27 @@ def check_parallel(doc):
             util = got[f"{cell}_lookahead_util"]
             if not 0.0 < util <= 1.0:
                 fail(f"{cell}_lookahead_util = {util:.3f} outside (0, 1]")
-        # Adaptive sync on the idle-frontier topology: block placement
-        # co-shards every client/NIC pair whenever a shard holds >= 2
-        # islands, so the run must be cross-traffic-free and collapse to
-        # strictly fewer (EOT-extended) windows than static sync pays.
+        # Block placement on the idle-frontier topology co-shards every
+        # client/NIC pair whenever a shard holds >= 2 islands, so the run
+        # must be cross-traffic-free and collapse to strictly fewer
+        # (EOT-extended) windows than the scattered placement pays.
         if 1 < s <= islands / 2:
-            idle_a = f"shards{s}_idle_adaptive"
-            idle_s = f"shards{s}_idle_static"
-            if got[f"{idle_a}_cross_posts"] != 0:
+            idle_b = f"shards{s}_idle_block"
+            idle_s = f"shards{s}_idle_scatter"
+            if got[f"{idle_b}_cross_posts"] != 0:
                 fail(
-                    f"{idle_a}_cross_posts = "
-                    f"{got[idle_a + '_cross_posts']:.0f}; co-sharded pairs "
+                    f"{idle_b}_cross_posts = "
+                    f"{got[idle_b + '_cross_posts']:.0f}; co-sharded pairs "
                     "must produce zero cross-shard traffic"
                 )
-            if got[f"{idle_a}_windows"] >= got[f"{idle_s}_windows"]:
+            if got[f"{idle_b}_windows"] >= got[f"{idle_s}_windows"]:
                 fail(
-                    f"{idle_a}_windows = {got[idle_a + '_windows']:.0f} not "
-                    f"below static's {got[idle_s + '_windows']:.0f}; EOT "
+                    f"{idle_b}_windows = {got[idle_b + '_windows']:.0f} not "
+                    f"below scatter's {got[idle_s + '_windows']:.0f}; EOT "
                     "extension did not collapse the idle frontier"
                 )
-            if got[f"{idle_a}_windows_extended"] <= 0:
-                fail(f"{idle_a}_windows_extended is zero — no window was "
+            if got[f"{idle_b}_windows_extended"] <= 0:
+                fail(f"{idle_b}_windows_extended is zero — no window was "
                      "EOT-extended")
     if completed is None or completed <= 0:
         fail("perf_parallel completed zero requests")
@@ -247,8 +247,8 @@ def check_parallel(doc):
         if got["idle_speedup_4x"] < 1.3:
             fail(
                 f"idle_speedup_4x = {got['idle_speedup_4x']:.2f} on a "
-                f"{hw:.0f}-thread machine; adaptive + locality must beat "
-                "static sync by >= 1.3x on the idle-frontier topology"
+                f"{hw:.0f}-thread machine; block placement must beat "
+                "scatter by >= 1.3x on the idle-frontier topology"
             )
         verdict = (
             f"speedup_4x={got['speedup_4x']:.2f} "

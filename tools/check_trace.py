@@ -13,7 +13,7 @@ timeline) and two more track families are required:
   - shard tracks: "shard.window" spans on the synthetic shard pid,
     each carrying busy_ns/barrier_ns/wall_ns args plus an extension
     source tag ("floor" for static-lookahead windows, "eot" for
-    adaptively extended ones);
+    EOT-extended ones);
   - NPU tracks: at least one "nic:" process with thread metadata and
     busy spans;
 and every nic.execute span must carry a tenant arg when any does
