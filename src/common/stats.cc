@@ -125,22 +125,4 @@ std::vector<double> Histogram::default_latency_bounds() {
   return bounds;
 }
 
-std::vector<std::pair<double, double>> Sampler::ecdf() const {
-  ensure_sorted();
-  std::vector<std::pair<double, double>> out;
-  const auto n = sorted_.size();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Collapse duplicate x values to the highest F.
-    if (!out.empty() && out.back().first == sorted_[i]) {
-      out.back().second =
-          static_cast<double>(i + 1) / static_cast<double>(n);
-    } else {
-      out.emplace_back(sorted_[i],
-                       static_cast<double>(i + 1) / static_cast<double>(n));
-    }
-  }
-  return out;
-}
-
 }  // namespace lnic

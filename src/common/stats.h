@@ -1,8 +1,8 @@
 // Latency/throughput statistics used by every experiment harness.
 //
 // Sampler keeps raw samples (simulated latencies are cheap, counts are
-// bounded by the experiment) so exact percentiles and ECDF curves can be
-// reported, matching how the paper plots Figures 6 and 8.
+// bounded by the experiment) so exact percentiles can be reported,
+// matching how the paper plots Figures 6 and 8.
 #pragma once
 
 #include <atomic>
@@ -29,10 +29,6 @@ class Sampler {
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
   double p99() const { return percentile(99.0); }
-
-  /// Empirical CDF evaluated at the sample points: sorted (value, F(value))
-  /// pairs, suitable for plotting. F is right-continuous, ends at 1.
-  std::vector<std::pair<double, double>> ecdf() const;
 
   const std::vector<double>& samples() const { return samples_; }
 

@@ -1,10 +1,9 @@
 #include "compiler/pipeline.h"
 
 #include "compiler/coalesce.h"
-#include "compiler/const_fold.h"
 #include "compiler/dce.h"
-#include "compiler/inline.h"
 #include "compiler/isolation.h"
+#include "compiler/stratify.h"
 #include "microc/verify.h"
 #include "p4/lower.h"
 
@@ -44,28 +43,15 @@ Result<CompileOutput> compile(const p4::MatchSpec& spec,
   }
 
   if (options.run_stratification) {
-    stratify_memory(out.program, options.memory);
+    stratify_memory(out.program);
     out.stages.push_back({"memory-stratification",
                           microc::code_size(out.program)});
   }
 
-  if (options.run_const_folding) {
-    fold_constants(out.program);
-    eliminate_dead_code(out.program);
-    out.stages.push_back({"constant-folding", microc::code_size(out.program)});
-  }
-  if (options.run_inlining) {
-    inline_functions(out.program);
-    prune_unreachable_functions(out.program);
-    eliminate_dead_code(out.program);
-    out.stages.push_back({"inlining", microc::code_size(out.program)});
-  }
-
   if (Status st = microc::verify(out.program); !st.ok()) return st.error();
 
-  if (options.run_isolation_check) {
-    auto report = check_isolation(out.program);
-    if (!report.ok()) return report.error();
+  if (auto report = check_isolation(out.program); !report.ok()) {
+    return report.error();
   }
 
   if (out.final_words() > options.instruction_store_words) {

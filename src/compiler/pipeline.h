@@ -4,17 +4,19 @@
 //     -> lambda coalescing (DCE + duplicate-helper merging)
 //     -> match reduction (table merge + if-else conversion)
 //     -> memory stratification (object placement)
+//     -> verification and the static isolation check (D2)
 //
-// Each stage is individually switchable (ablation benches, Fig. 9) and
-// the pipeline records code size after every stage, which is exactly the
-// series Figure 9 plots.
+// Each of the three optimization stages is individually switchable
+// (ablation benches, Fig. 9) and the pipeline records code size after
+// every stage, which is exactly the series Figure 9 plots. Verification
+// and the isolation check always run; a program that fails either is
+// rejected.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "compiler/stratify.h"
 #include "microc/ir.h"
 #include "p4/p4.h"
 
@@ -24,13 +26,6 @@ struct Options {
   bool run_coalescing = true;
   bool run_match_reduction = true;
   bool run_stratification = true;
-  /// Extra optimizations beyond the paper's three named stages (off by
-  /// default so Figure 9 reproduces the published series exactly).
-  bool run_const_folding = false;
-  bool run_inlining = false;
-  /// Static isolation assertions (D2); failing programs are rejected.
-  bool run_isolation_check = true;
-  TargetMemorySpec memory;
   /// Per-core instruction store limit (16 K instructions, §6.1.2).
   std::uint64_t instruction_store_words = 16384;
 
@@ -52,7 +47,6 @@ struct CompileOutput {
   microc::Program program;
   std::vector<StageReport> stages;
 
-  std::uint64_t naive_words() const { return stages.front().code_words; }
   std::uint64_t final_words() const { return stages.back().code_words; }
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/types.h"
 #include "compiler/analysis.h"
 
 namespace lnic::compiler {
@@ -11,8 +12,16 @@ using microc::MemObject;
 using microc::MemRegion;
 using microc::PlacementHint;
 
-std::size_t stratify_memory(microc::Program& program,
-                            const TargetMemorySpec& spec) {
+namespace {
+
+// Capacity budget of one NPU core's reachable memories, per program.
+constexpr Bytes kLocalCapacity = 4_KiB;   // per-core local memory
+constexpr Bytes kCtmCapacity = 256_KiB;   // island CTM share
+constexpr Bytes kImemCapacity = 4_MiB;    // on-chip IMEM share
+
+}  // namespace
+
+std::size_t stratify_memory(microc::Program& program) {
   estimate_object_accesses(program);
 
   // Order objects by placement priority: hot pragmas first, then by
@@ -33,9 +42,9 @@ std::size_t stratify_memory(microc::Program& program,
     return density(a) > density(b);
   });
 
-  Bytes local_left = spec.local_capacity;
-  Bytes ctm_left = spec.ctm_capacity;
-  Bytes imem_left = spec.imem_capacity;
+  Bytes local_left = kLocalCapacity;
+  Bytes ctm_left = kCtmCapacity;
+  Bytes imem_left = kImemCapacity;
   std::size_t moved = 0;
 
   for (std::size_t i : order) {

@@ -19,7 +19,6 @@ struct HostServer::Job {
   microc::Invocation invocation;
   std::unique_ptr<microc::Machine> machine;
   std::uint64_t cycles_reported = 0;
-  SimTime enqueued = 0;
   bool resumed = false;        // continuing after a KV reply
   std::uint64_t pending_reply = 0;
   SimDuration rx_cost = 0;     // kernel ingress work to charge
@@ -122,7 +121,6 @@ void HostServer::admit(std::unique_ptr<Job> job) {
     ++stats_.requests_dropped;
     return;
   }
-  job->enqueued = sim_.now();
   if (tracer_ != nullptr && job->ctx.valid()) {
     job->queue_span = tracer_->start_span(job->ctx.trace, job->ctx.parent,
                                           "host.queue", sim_.now());
@@ -141,7 +139,6 @@ void HostServer::try_admit() {
     admission_.pop_front();
     ++active_jobs_;
     stats_.peak_active_jobs = std::max(stats_.peak_active_jobs, active_jobs_);
-    stats_.queue_wait_ns.add(static_cast<double>(sim_.now() - job->enqueued));
     if (job->queue_span != trace::kInvalidSpan) {
       tracer_->end_span(job->queue_span, sim_.now());
       job->queue_span = trace::kInvalidSpan;

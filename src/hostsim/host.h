@@ -34,7 +34,6 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "microc/interp.h"
@@ -80,7 +79,6 @@ struct HostStats {
   std::uint64_t requests_dropped = 0;
   std::uint64_t context_switches = 0;
   std::uint32_t peak_active_jobs = 0;  // service-thread high-water mark
-  Sampler queue_wait_ns;
   SimDuration busy_time = 0;  // CPU-occupancy for utilization (Table 3)
 };
 

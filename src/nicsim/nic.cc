@@ -23,8 +23,6 @@ struct SmartNic::Flight {
   NodeId reply_to = kInvalidNode;
   microc::Invocation invocation;
   std::unique_ptr<microc::Machine> machine;
-  SimTime arrived = 0;
-  SimTime dispatched = 0;
   std::uint64_t cycles_reported = 0;  // cycles accounted so far
   Bytes staged_bytes = 0;             // EMEM staging held until completion
   // Tracing/profiling bookkeeping (inert unless a tracer/profiler is on).
@@ -283,7 +281,6 @@ void SmartNic::handle_request(const Packet& packet, net::BufferView body) {
   auto flight = std::make_unique<Flight>();
   flight->lambda = packet.lambda;
   flight->reply_to = packet.src;
-  flight->arrived = sim_.now();
   if (tracer_ != nullptr && packet.lambda.trace_id != trace::kInvalidTrace) {
     flight->ctx.trace = packet.lambda.trace_id;
     flight->ctx.parent = packet.lambda.parent_span;
@@ -457,9 +454,6 @@ void SmartNic::try_dispatch() {
     auto flight = pop_next();
     if (!flight) return;
     ++busy_threads_;
-    flight->dispatched = sim_.now();
-    stats_.queue_wait_ns.add(
-        static_cast<double>(flight->dispatched - flight->arrived));
     if (flight->queue_span != trace::kInvalidSpan) {
       tracer_->end_span(flight->queue_span, sim_.now());
       flight->queue_span = trace::kInvalidSpan;

@@ -121,7 +121,6 @@ struct NicStats {
   std::uint64_t traps = 0;
   Bytes peak_inflight_bytes = 0;              // RDMA staging high-water mark
   Sampler service_cycles;                     // per-request NPU cycles
-  Sampler queue_wait_ns;                      // dispatch queue delay
   /// Completions per scheduling class (tenant id, or workload id for
   /// tenant-less traffic). Only populated under the kWfq policy.
   std::map<std::uint32_t, std::uint64_t> completed_by_class;

@@ -1,8 +1,16 @@
 // Tests for the compiler passes: DCE, coalescing, match reduction,
 // stratification, and the full pipeline — including differential tests
-// that optimization preserves observable behaviour.
+// that optimization preserves observable behaviour and a golden file
+// pinning the exact firmware the pipeline emits for every bundle.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "backends/backend.h"
 #include "compiler/analysis.h"
 #include "compiler/coalesce.h"
 #include "compiler/dce.h"
@@ -10,8 +18,12 @@
 #include "compiler/stratify.h"
 #include "microc/builder.h"
 #include "microc/interp.h"
+#include "microc/serialize.h"
 #include "microc/verify.h"
+#include "nicsim/nic.h"
 #include "p4/p4.h"
+#include "workloads/lambdas.h"
+#include "workloads/split.h"
 
 namespace lnic::compiler {
 namespace {
@@ -380,6 +392,108 @@ TEST(Pipeline, StagesCanBeDisabledIndividually) {
     const auto out = run_request(result.value().program, 12, 3);
     ASSERT_EQ(out.state, RunState::kDone) << "mask=" << mask;
   }
+}
+
+// -- Compiled-firmware golden. ----------------------------------------
+//
+// Every bundle factory compiled under the option sets the repo's callers
+// use: NIC deploy (all stages, the NIC's instruction store), host deploy
+// (no stages, unlimited store), the placement layer's per-action
+// footprint compiles (all stages, unlimited store) and the memory
+// ablation (stratification off). Each line records every stage's code
+// size and an FNV-1a digest of the serialized program, or the error of a
+// failing compile. A change to the compiler must reproduce the file line
+// for line; on a mismatch the actual lines are written to
+// compiled_firmware.actual.txt in the working directory for diffing.
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string compile_line(const std::string& name,
+                         const workloads::WorkloadBundle& bundle,
+                         const Options& options) {
+  std::ostringstream line;
+  line << name;
+  auto compiled = compile(bundle.spec, bundle.lambdas, options);
+  if (!compiled.ok()) {
+    line << " error=\"" << compiled.error().message << "\"";
+    return line.str();
+  }
+  for (const StageReport& stage : compiled.value().stages) {
+    line << " " << stage.stage << "=" << stage.code_words;
+  }
+  line << " fnv=" << std::hex
+       << fnv1a(microc::serialize(compiled.value().program));
+  return line.str();
+}
+
+std::vector<std::string> compiled_firmware() {
+  using workloads::WorkloadBundle;
+  workloads::Scale oversize;
+  oversize.web_mix_rounds = 6000;  // past the 16 K-word NIC store
+  const std::pair<std::string, std::function<WorkloadBundle()>> factories[] = {
+      {"standard", [] { return workloads::make_standard_workloads(); }},
+      {"oversize",
+       [&] { return workloads::make_standard_workloads(oversize); }},
+      {"nic_kv_store", [] { return workloads::make_nic_kv_store(); }},
+      {"stream_aggregator",
+       [] { return workloads::make_stream_aggregator(); }},
+      {"web_farm3", [] { return workloads::make_web_farm(3); }},
+  };
+
+  Options nic;
+  nic.instruction_store_words = nicsim::NicConfig{}.instr_store_words;
+  Options host = Options::none();
+  host.instruction_store_words = backends::Capacity::kUnlimitedWords;
+  Options footprint;
+  footprint.instruction_store_words = backends::Capacity::kUnlimitedWords;
+  Options flat;
+  flat.run_stratification = false;
+
+  std::vector<std::string> lines;
+  for (const auto& [name, make] : factories) {
+    const WorkloadBundle bundle = make();
+    lines.push_back(compile_line(name + "/nic", bundle, nic));
+    lines.push_back(compile_line(name + "/host", bundle, host));
+    lines.push_back(compile_line(name + "/no-stratify", bundle, flat));
+    for (const std::string& action : workloads::bundle_actions(bundle)) {
+      lines.push_back(compile_line(name + "/footprint/" + action,
+                                   workloads::split_bundle(bundle, {action}),
+                                   footprint));
+    }
+  }
+  return lines;
+}
+
+TEST(CompilerGolden, ReproducesRecordedFirmware) {
+  const std::vector<std::string> actual = compiled_firmware();
+  std::ifstream in(LNIC_COMPILED_GOLDEN_PATH);
+  ASSERT_TRUE(in.good()) << "missing " << LNIC_COMPILED_GOLDEN_PATH;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < std::max(actual.size(), expected.size()); ++i) {
+    const std::string got = i < actual.size() ? actual[i] : "<missing>";
+    const std::string want = i < expected.size() ? expected[i] : "<missing>";
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "line " << i + 1 << "\n  expected: " << want
+                    << "\n  actual:   " << got;
+    }
+  }
+  if (mismatches > 0) {
+    std::ofstream dump("compiled_firmware.actual.txt");
+    for (const auto& line : actual) dump << line << "\n";
+    FAIL() << mismatches << " of " << expected.size()
+           << " lines differ; actual lines in compiled_firmware.actual.txt";
+  }
+  EXPECT_GT(expected.size(), 20u);
 }
 
 }  // namespace

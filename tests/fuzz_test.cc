@@ -1,8 +1,7 @@
 // Randomized robustness suites:
 //  - random Micro-C *source* programs (loops, branches, memory) compiled
 //    and executed: the frontend+verifier must accept them, execution must
-//    be deterministic, and every optimization combination must preserve
-//    results;
+//    be deterministic, and dead-code elimination must preserve results;
 //  - random byte strings fed to the lexer/parser/deserializer: they must
 //    reject garbage with errors, never crash or accept nonsense.
 #include <gtest/gtest.h>
@@ -10,9 +9,7 @@
 #include <string>
 
 #include "common/rng.h"
-#include "compiler/const_fold.h"
 #include "compiler/dce.h"
-#include "compiler/inline.h"
 #include "microc/frontend.h"
 #include "microc/interp.h"
 #include "microc/lexer.h"
@@ -46,24 +43,14 @@ TEST_P(RandomSourceTest, CompilesRunsDeterministicallyAndOptimizesSafely) {
   EXPECT_EQ(first.return_value, second.return_value);  // deterministic
   EXPECT_EQ(first.cycles, second.cycles);
 
-  // Every optimization combination preserves the result.
-  for (int mask = 1; mask < 4; ++mask) {
-    Program optimized = program.value();
-    if (mask & 1) {
-      compiler::fold_constants(optimized);
-      compiler::eliminate_dead_code(optimized);
-    }
-    if (mask & 2) {
-      compiler::inline_functions(optimized);
-      compiler::eliminate_dead_code(optimized);
-    }
-    ASSERT_TRUE(verify(optimized).ok()) << "mask=" << mask << "\n" << source;
-    const Outcome out = run_program(optimized);
-    ASSERT_EQ(out.state, RunState::kDone);
-    EXPECT_EQ(out.return_value, first.return_value)
-        << "mask=" << mask << "\n" << source;
-    EXPECT_EQ(out.response, first.response);
-  }
+  // Dead-code elimination preserves the result.
+  Program optimized = program.value();
+  compiler::eliminate_dead_code(optimized);
+  ASSERT_TRUE(verify(optimized).ok()) << source;
+  const Outcome out = run_program(optimized);
+  ASSERT_EQ(out.state, RunState::kDone);
+  EXPECT_EQ(out.return_value, first.return_value) << source;
+  EXPECT_EQ(out.response, first.response);
 
   // Serialization round trip preserves execution too.
   auto restored = deserialize(serialize(program.value()));

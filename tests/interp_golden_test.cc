@@ -1,6 +1,7 @@
 // Golden outcomes of the Micro-C interpreter: every standard lambda over
-// several payloads and cost models, the web farm, every program the fuzz
-// suite runs, and fuel sweeps that trap at many points mid-block and on
+// several payloads and cost models, the web farm, every random source
+// program the fuzz suite compiles (as compiled and after a serialization
+// round trip), and fuel sweeps that trap at many points mid-block and on
 // block boundaries. The expected file records, per run, the final state,
 // return value, response hash and length, cycles, instruction count,
 // trap message and every external call the run yielded. A change to the
@@ -16,9 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "compiler/const_fold.h"
-#include "compiler/dce.h"
-#include "compiler/inline.h"
 #include "compiler/pipeline.h"
 #include "microc/frontend.h"
 #include "microc/interp.h"
@@ -195,7 +193,7 @@ std::vector<std::string> golden_outcomes() {
     add_bundle_runs(lines, "farm", compiled.value().program, farm_payloads);
   }
 
-  // Exactly the programs RandomSourceTest runs, plus fuel sweeps over the
+  // The programs RandomSourceTest compiles, plus fuel sweeps over the
   // first few (their loops make many small blocks).
   for (int param = 1; param < 33; ++param) {
     Rng rng(fuzz::random_program_seed(param));
@@ -206,19 +204,6 @@ std::vector<std::string> golden_outcomes() {
     const std::string tag = "fuzz" + std::to_string(param);
     lines.push_back(
         run_fuzz_program(tag + "/src", program.value(), 10'000'000));
-    for (int mask = 1; mask < 4; ++mask) {
-      Program optimized = program.value();
-      if (mask & 1) {
-        compiler::fold_constants(optimized);
-        compiler::eliminate_dead_code(optimized);
-      }
-      if (mask & 2) {
-        compiler::inline_functions(optimized);
-        compiler::eliminate_dead_code(optimized);
-      }
-      lines.push_back(run_fuzz_program(tag + "/opt" + std::to_string(mask),
-                                       optimized, 10'000'000));
-    }
     auto restored = deserialize(serialize(program.value()));
     EXPECT_TRUE(restored.ok());
     if (!restored.ok()) return lines;
