@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "loadgen/generator.h"
 #include "net/network.h"
 #include "net/packet.h"
+#include "net/reassembly.h"
 #include "proto/rpc.h"
 
 namespace lnic::bench {
@@ -72,46 +72,38 @@ void report_copies(BenchSummary& out, const char* prefix,
 /// worker's RDMA receive path does.
 class EchoNode {
  public:
-  explicit EchoNode(net::Network& network) : network_(network) {
+  EchoNode(sim::Simulator& sim, net::Network& network)
+      : sim_(sim), network_(network) {
     node_ = network_.attach([this](const net::Packet& p) { on_packet(p); });
   }
 
   NodeId node() const { return node_; }
 
  private:
-  struct Reassembly {
-    std::vector<net::BufferView> frags;
-    std::uint32_t received = 0;
-  };
-
   void on_packet(const net::Packet& p) {
     if (p.kind != net::PacketKind::kRequest &&
         p.kind != net::PacketKind::kRdmaWrite) {
       return;
     }
-    Reassembly& re = inflight_[p.lambda.request_id];
-    if (re.frags.empty()) re.frags.resize(p.lambda.frag_count);
-    re.frags[p.lambda.frag_index] = p.payload;
-    if (++re.received < p.lambda.frag_count) return;
-
-    const net::BufferView body = coalesce(re.frags);
-    inflight_.erase(p.lambda.request_id);
+    auto message = reassembly_.add(p, sim_.now());
+    if (!message) return;
     for (net::Packet& frag :
          net::fragment(node_, p.src, net::PacketKind::kResponse, p.lambda,
-                       body)) {
+                       message->body)) {
       network_.send(std::move(frag));
     }
   }
 
+  sim::Simulator& sim_;
   net::Network& network_;
   NodeId node_ = 0;
-  std::map<RequestId, Reassembly> inflight_;
+  net::Reassembler reassembly_;
 };
 
 void fragmented_rpc(BenchSummary& out, std::uint64_t rounds) {
   sim::Simulator sim;
   net::Network network(sim);
-  EchoNode echo(network);
+  EchoNode echo(sim, network);
   proto::RpcClient client(sim, network,
                           proto::RpcConfig{.retransmit_timeout = seconds(10)});
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "proto/invocation.h"
+#include "proto/wire.h"
 
 namespace lnic::hostsim {
 
@@ -64,23 +65,10 @@ void HostServer::handle_packet(const Packet& packet) {
     case PacketKind::kRequest:
     case PacketKind::kRdmaWrite: {
       if (packet.lambda.frag_count > 1) {
-        const auto key = std::make_pair(packet.src, packet.lambda.request_id);
-        Reassembly& re = reassembly_[key];
-        if (re.frags.empty()) {
-          re.frags.resize(packet.lambda.frag_count);
-          re.first = packet;
-        }
-        if (packet.lambda.frag_index >= re.frags.size()) return;
-        if (re.frags[packet.lambda.frag_index].empty()) {
-          re.frags[packet.lambda.frag_index] = packet.payload;
-          ++re.received;
-        }
-        if (re.received < re.frags.size()) return;
         // Contiguous slices of the sender's buffer: no copy.
-        net::BufferView body = coalesce(re.frags);
-        Packet first = re.first;
-        reassembly_.erase(key);
-        handle_request(first, std::move(body));
+        if (auto message = reassembly_.add(packet, sim_.now())) {
+          handle_request(message->first, std::move(message->body));
+        }
       } else {
         handle_request(packet, packet.payload);
       }
@@ -285,19 +273,9 @@ void HostServer::run_gil(std::unique_ptr<Job> job) {
               owned->ctx.trace, owned->ctx.parent, "host.kv_wait", sim_.now());
         }
         waiting_kv_.emplace(token, std::move(owned));
-        Packet kv;
-        kv.src = node_;
-        kv.dst = kv_server_;
-        kv.kind = PacketKind::kKvRequest;
-        kv.lambda.request_id = token;
-        kv.lambda.workload_id = static_cast<WorkloadId>(ext.kind);
-        std::vector<std::uint8_t> kv_body(16);
-        for (int i = 0; i < 8; ++i) {
-          kv_body[i] = static_cast<std::uint8_t>(ext.key >> (8 * i));
-          kv_body[8 + i] =
-              static_cast<std::uint8_t>(ext.value >> (8 * i));
-        }
-        kv.payload = std::move(kv_body);
+        Packet kv = proto::encode_kv_call(
+            node_, kv_server_, token,
+            {static_cast<WorkloadId>(ext.kind), ext.key, ext.value});
         network_.send(std::move(kv));
         return;
       }
@@ -324,11 +302,7 @@ void HostServer::handle_kv_response(const Packet& packet) {
     tracer_->end_span(job->kv_span, sim_.now());
     job->kv_span = trace::kInvalidSpan;
   }
-  std::uint64_t reply = 0;
-  for (std::size_t i = 0; i < 8 && i < packet.payload.size(); ++i) {
-    reply |= static_cast<std::uint64_t>(packet.payload[i]) << (8 * i);
-  }
-  job->pending_reply = reply;
+  job->pending_reply = proto::decode_kv_reply(packet);
   job->resumed = true;
   // The reply's kernel rx, then back to the interpreter (fresh GIL
   // acquisition, possibly another context switch).

@@ -30,7 +30,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -38,6 +37,7 @@
 #include "common/types.h"
 #include "microc/interp.h"
 #include "net/network.h"
+#include "net/reassembly.h"
 #include "sim/simulator.h"
 
 namespace lnic::hostsim {
@@ -108,6 +108,9 @@ class HostServer {
   /// affects simulated timing.
   void set_tracer(trace::TraceRecorder* tracer) { tracer_ = tracer; }
 
+  /// Payload bytes of multi-packet requests still being reassembled.
+  Bytes reassembly_bytes() const { return reassembly_.buffered_bytes(); }
+
  private:
   struct Job;
   /// A queued single-stage resource (capacity units, FIFO).
@@ -153,12 +156,7 @@ class HostServer {
   std::uint32_t active_jobs_ = 0;  // jobs holding a service thread
   std::deque<std::unique_ptr<Job>> admission_;
 
-  struct Reassembly {
-    std::vector<net::BufferView> frags;
-    std::uint32_t received = 0;
-    net::Packet first;
-  };
-  std::map<std::pair<NodeId, RequestId>, Reassembly> reassembly_;
+  net::Reassembler reassembly_;  // multi-packet request bodies
 
   std::map<RequestId, std::unique_ptr<Job>> waiting_kv_;
   RequestId next_token_ = 1;

@@ -1,5 +1,7 @@
 #include "kvstore/cache_server.h"
 
+#include "proto/wire.h"
+
 namespace lnic::kvstore {
 
 using net::Packet;
@@ -55,35 +57,20 @@ void CacheServer::touch(std::uint64_t key) {
 
 void CacheServer::handle_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kKvRequest) return;
-  std::uint64_t key = 0, value = 0;
-  for (std::size_t i = 0; i < 8 && i < packet.payload.size(); ++i) {
-    key |= static_cast<std::uint64_t>(packet.payload[i]) << (8 * i);
-  }
-  for (std::size_t i = 0; i < 8 && 8 + i < packet.payload.size(); ++i) {
-    value |= static_cast<std::uint64_t>(packet.payload[8 + i]) << (8 * i);
-  }
-
-  const bool is_set = packet.lambda.workload_id == 1;
+  const proto::KvCall call = proto::decode_kv_call(packet);
+  const bool is_set = call.op == proto::kKvSet;
   std::uint64_t reply = 0;
   if (is_set) {
-    put(key, value);
-    reply = value;
-  } else if (!get(key, reply)) {
+    put(call.key, call.value);
+    reply = call.value;
+  } else if (!get(call.key, reply)) {
     reply = 0;
   }
 
   const SimDuration service =
       is_set ? config_.set_service : config_.get_service;
-  Packet response;
-  response.src = node_;
-  response.dst = packet.src;
-  response.kind = PacketKind::kKvResponse;
-  response.lambda = packet.lambda;
-  std::vector<std::uint8_t> reply_body(8);
-  for (int i = 0; i < 8; ++i) {
-    reply_body[i] = static_cast<std::uint8_t>(reply >> (8 * i));
-  }
-  response.payload = std::move(reply_body);
+  Packet response = proto::encode_kv_reply(node_, packet.src, call.op,
+                                           packet.lambda.request_id, reply);
   sim_.schedule(service, [this, response = std::move(response)]() mutable {
     network_.send(std::move(response));
   });

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "common/flightrec.h"
+#include "common/rng.h"
 #include "net/packet.h"
+#include "proto/wire.h"
 
 namespace lnic::kvstore {
 
@@ -24,43 +26,6 @@ namespace {
 
 bool compatible(LockMode a, LockMode b) {
   return a == LockMode::kShared && b == LockMode::kShared;
-}
-
-/// Deterministic jitter for txn retry backoff — same SplitMix64-style
-/// hash as proto/rpc.cc so replays stay bit-reproducible.
-std::uint64_t jitter_hash(TxnId id, std::uint32_t attempt) {
-  std::uint64_t z = id * 0x9E3779B97F4A7C15ull + attempt;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t read_u64_at(const net::BufferView& body, std::size_t at) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8 && at + i < body.size(); ++i) {
-    v |= static_cast<std::uint64_t>(body[at + i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint16_t read_u16_at(const net::BufferView& body, std::size_t at) {
-  std::uint16_t v = 0;
-  for (std::size_t i = 0; i < 2 && at + i < body.size(); ++i) {
-    v = static_cast<std::uint16_t>(
-        v | static_cast<std::uint16_t>(body[at + i]) << (8 * i));
-  }
-  return v;
-}
-
-void append_u64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u16(std::vector<std::uint8_t>* out, std::uint16_t v) {
-  out->push_back(static_cast<std::uint8_t>(v));
-  out->push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 }  // namespace
@@ -199,12 +164,12 @@ TxnStore::TxnStore(sim::Simulator& sim, net::Network& network,
 std::vector<std::uint8_t> TxnStore::encode_txn(const TxnRequest& request) {
   std::vector<std::uint8_t> body;
   body.reserve(2 + request.ops.size() * 19);
-  append_u16(&body, static_cast<std::uint16_t>(request.ops.size()));
+  proto::append_le(&body, static_cast<std::uint16_t>(request.ops.size()));
   for (const TxnOp& op : request.ops) {
     body.push_back(static_cast<std::uint8_t>(op.kind));
-    append_u64(&body, op.key);
-    append_u64(&body, op.value);
-    append_u16(&body, op.scan_len);
+    proto::append_le(&body, op.key);
+    proto::append_le(&body, op.value);
+    proto::append_le(&body, op.scan_len);
   }
   return body;
 }
@@ -225,25 +190,26 @@ void TxnStore::handle_packet(const Packet& packet) {
   switch (packet.lambda.workload_id) {
     case kOpGet: {
       ++stats_.gets;
-      state.req.ops.push_back({OpKind::kRead, read_u64_at(body, 0), 0, 0});
+      const proto::KvCall call = proto::decode_kv_call(packet);
+      state.req.ops.push_back({OpKind::kRead, call.key, 0, 0});
       break;
     }
     case kOpSet: {
       ++stats_.sets;
-      state.req.ops.push_back(
-          {OpKind::kWrite, read_u64_at(body, 0), read_u64_at(body, 8), 0});
+      const proto::KvCall call = proto::decode_kv_call(packet);
+      state.req.ops.push_back({OpKind::kWrite, call.key, call.value, 0});
       break;
     }
     case kOpTxn: {
       ++stats_.txns;
-      const std::uint16_t n = read_u16_at(body, 0);
+      const std::uint16_t n = proto::load_le<std::uint16_t>(body, 0);
       std::size_t at = 2;
       for (std::uint16_t i = 0; i < n && at + 19 <= body.size(); ++i) {
         TxnOp op;
         op.kind = static_cast<OpKind>(body[at]);
-        op.key = read_u64_at(body, at + 1);
-        op.value = read_u64_at(body, at + 9);
-        op.scan_len = read_u16_at(body, at + 17);
+        op.key = proto::load_le<std::uint64_t>(body, at + 1);
+        op.value = proto::load_le<std::uint64_t>(body, at + 9);
+        op.scan_len = proto::load_le<std::uint16_t>(body, at + 17);
         state.req.ops.push_back(op);
         at += 19;
       }
@@ -492,26 +458,31 @@ SimDuration TxnStore::backoff_delay(const TxnState& state) const {
   if (base > 4) {
     // Up to 25% deterministic jitter, as in proto/rpc.cc retransmits.
     base += static_cast<SimDuration>(
-        jitter_hash(state.id, state.attempt) %
+        splitmix64(state.id * kSplitMixGamma + state.attempt) %
         static_cast<std::uint64_t>(base / 4));
   }
   return base;
 }
 
 void TxnStore::reply(const TxnState& state, const TxnResult& result) {
-  std::vector<std::uint8_t> body;
-  if (state.reply_op == kOpTxn) {
-    body.push_back(static_cast<std::uint8_t>(result.status));
-    body.push_back(static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(result.retries, 255)));
-    append_u16(&body, static_cast<std::uint16_t>(
-                          std::min<std::uint32_t>(result.reads, 0xFFFF)));
-    append_u64(&body, result.read_xor);
-  } else if (state.reply_op == kOpSet) {
-    append_u64(&body, state.req.ops.empty() ? 0 : state.req.ops[0].value);
-  } else {
-    append_u64(&body, result.read_xor);
+  if (state.reply_op != kOpTxn) {
+    // KV ext-call reply: a SET echoes the value written, a GET returns
+    // the value read.
+    const std::uint64_t value =
+        state.reply_op == kOpSet
+            ? (state.req.ops.empty() ? 0 : state.req.ops[0].value)
+            : result.read_xor;
+    network_.send(proto::encode_kv_reply(node_, state.reply_to, state.reply_op,
+                                         state.reply_id, value));
+    return;
   }
+  std::vector<std::uint8_t> body;
+  body.push_back(static_cast<std::uint8_t>(result.status));
+  body.push_back(
+      static_cast<std::uint8_t>(std::min<std::uint32_t>(result.retries, 255)));
+  proto::append_le(&body, static_cast<std::uint16_t>(
+                              std::min<std::uint32_t>(result.reads, 0xFFFF)));
+  proto::append_le(&body, result.read_xor);
   Packet p;
   p.src = node_;
   p.dst = state.reply_to;

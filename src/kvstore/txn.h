@@ -40,6 +40,7 @@
 #include "kvstore/btree.h"
 #include "net/network.h"
 #include "proto/rdma.h"
+#include "proto/wire.h"
 #include "sim/simulator.h"
 
 namespace lnic::kvstore {
@@ -164,15 +165,14 @@ struct TxnStoreStats {
 };
 
 /// Wire format (PacketKind::kKvRequest to node(), kKvResponse back):
-///  - workload_id 0, GET:  body [key u64][unused u64] -> reply [value u64]
-///  - workload_id 1, SET:  body [key u64][value u64]  -> reply [value u64]
+///  - workload_id 0 (GET) and 1 (SET): the KV ext-call of proto/wire.h;
 ///  - workload_id 2, TXN:  body [n u16] then n x
 ///        [kind u8][key u64][value u64][scan_len u16]
 ///    reply [status u8][retries u8][reads u16][read_xor u64]
 class TxnStore {
  public:
-  static constexpr WorkloadId kOpGet = 0;
-  static constexpr WorkloadId kOpSet = 1;
+  static constexpr WorkloadId kOpGet = proto::kKvGet;
+  static constexpr WorkloadId kOpSet = proto::kKvSet;
   static constexpr WorkloadId kOpTxn = 2;
 
   TxnStore(sim::Simulator& sim, net::Network& network,

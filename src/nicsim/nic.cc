@@ -6,6 +6,7 @@
 #include "common/flightrec.h"
 #include "common/logging.h"
 #include "proto/invocation.h"
+#include "proto/wire.h"
 
 namespace lnic::nicsim {
 
@@ -92,7 +93,7 @@ void SmartNic::undeploy_tenant(TenantId tenant) {
     }
     for (auto& flight : queue->second) {
       ++stats_.requests_dropped_undeploy;
-      inflight_bytes_ -= flight->staged_bytes;
+      staged_bytes_ -= flight->staged_bytes;
       --queued_;
     }
     wfq_queues_.erase(queue);
@@ -243,13 +244,13 @@ Status SmartNic::deploy(compiler::CompileOutput firmware) {
 }
 
 Bytes SmartNic::memory_in_use() const {
-  return firmware_bytes_ + globals_.total_bytes() + inflight_bytes_;
+  return firmware_bytes_ + globals_.total_bytes() + emem_staged();
 }
 
 Bytes SmartNic::region_bytes_used(microc::MemRegion region) const {
   Bytes bytes = 0;
   if (image_) bytes += microc::region_bytes(image_->objects(), region);
-  if (region == microc::MemRegion::kEmem) bytes += inflight_bytes_;
+  if (region == microc::MemRegion::kEmem) bytes += emem_staged();
   return bytes;
 }
 
@@ -259,7 +260,7 @@ void SmartNic::handle_packet(const Packet& packet) {
       if (packet.lambda.frag_count > 1) {
         handle_rdma_fragment(packet);
       } else {
-        handle_request(packet, packet.payload);
+        handle_request(packet, packet.payload, /*staged=*/0);
       }
       break;
     case PacketKind::kRdmaWrite:
@@ -273,7 +274,8 @@ void SmartNic::handle_packet(const Packet& packet) {
   }
 }
 
-void SmartNic::handle_request(const Packet& packet, net::BufferView body) {
+void SmartNic::handle_request(const Packet& packet, net::BufferView body,
+                              Bytes staged) {
   if (!image_ || down()) {
     ++stats_.requests_dropped_down;
     return;
@@ -288,7 +290,8 @@ void SmartNic::handle_request(const Packet& packet, net::BufferView body) {
   // Multi-packet bodies were already staged into EMEM fragment by
   // fragment (handle_rdma_fragment); the flight now owns those bytes and
   // releases them at completion.
-  flight->staged_bytes = body.size() > net::kMaxPayload ? body.size() : 0;
+  flight->staged_bytes = staged;
+  staged_bytes_ += staged;
 
   flight->invocation =
       proto::build_invocation(packet.lambda, packet.src, std::move(body));
@@ -304,7 +307,7 @@ void SmartNic::enter_parse_stage(std::unique_ptr<Flight> flight) {
   if (busy_parse_threads_ >= config_.parse_threads()) {
     if (parse_queue_.size() >= config_.max_queue_depth) {
       ++stats_.requests_dropped_queue;
-      inflight_bytes_ -= flight->staged_bytes;
+      staged_bytes_ -= flight->staged_bytes;
       return;
     }
     parse_queue_.push_back(std::move(flight));
@@ -340,47 +343,37 @@ void SmartNic::handle_rdma_fragment(const Packet& packet) {
     ++stats_.requests_dropped_down;
     return;
   }
-  const auto key = std::make_pair(packet.src, packet.lambda.request_id);
-  Reassembly& re = reassembly_[key];
-  if (re.frags.empty()) {
-    re.frags.resize(packet.lambda.frag_count);
-    re.first = packet;
-    if (tracer_ != nullptr &&
-        packet.lambda.trace_id != trace::kInvalidTrace) {
-      re.span = tracer_->start_span(packet.lambda.trace_id,
-                                    packet.lambda.parent_span,
-                                    "nic.reassemble", sim_.now());
-      tracer_->annotate(re.span, "fragments",
-                        std::to_string(packet.lambda.frag_count));
+  auto message = reassembly_.add(packet, sim_.now(), [&] {
+    if (tracer_ == nullptr ||
+        packet.lambda.trace_id == trace::kInvalidTrace) {
+      return trace::kInvalidSpan;
     }
-  }
-  if (packet.lambda.frag_index >= re.frags.size()) return;  // corrupt
-  if (re.frags[packet.lambda.frag_index].empty()) {
-    // The RDMA write lands this fragment directly in EMEM (D3).
-    inflight_bytes_ += packet.payload.size();
-    stats_.peak_inflight_bytes =
-        std::max(stats_.peak_inflight_bytes, inflight_bytes_);
-    re.frags[packet.lambda.frag_index] = packet.payload;
-    ++re.received;
-  }
-  if (re.received < re.frags.size()) return;
+    const trace::SpanId span =
+        tracer_->start_span(packet.lambda.trace_id, packet.lambda.parent_span,
+                            "nic.reassemble", sim_.now());
+    tracer_->annotate(span, "fragments",
+                      std::to_string(packet.lambda.frag_count));
+    return span;
+  });
+  // The RDMA write lands each fragment directly in EMEM (D3); a
+  // completed body stays there, held by its flight.
+  const Bytes body_bytes = message ? message->body.size() : 0;
+  stats_.peak_inflight_bytes =
+      std::max(stats_.peak_inflight_bytes, emem_staged() + body_bytes);
+  if (!message) return;
 
-  // Last fragment landed: reorder/assemble in EMEM and fire the event
-  // RPC that triggers the lambda (D3). The fragments are contiguous
-  // slices of the sender's buffer, so this coalesces without copying.
-  net::BufferView body = coalesce(re.frags);
-  Packet trigger = re.first;
-  if (re.span != trace::kInvalidSpan) {
-    tracer_->end_span(re.span, sim_.now());
+  // Last fragment landed: the body is assembled in EMEM; fire the event
+  // RPC that triggers the lambda (D3).
+  if (message->tag != trace::kInvalidSpan) {
+    tracer_->end_span(message->tag, sim_.now());
   }
-  reassembly_.erase(key);
-  handle_request(trigger, std::move(body));
+  handle_request(message->first, std::move(message->body), body_bytes);
 }
 
 void SmartNic::enqueue(std::unique_ptr<Flight> flight) {
   if (queued_ >= config_.max_queue_depth) {
     ++stats_.requests_dropped_queue;
-    inflight_bytes_ -= flight->staged_bytes;
+    staged_bytes_ -= flight->staged_bytes;
     flightrec::FlightRecorder::global().record(
         sim_.now(), flightrec::Kind::kQueueDrop,
         sched_class_of(flight->lambda), queued_,
@@ -555,19 +548,9 @@ void SmartNic::continue_flight(std::unique_ptr<Flight> flight,
         raw->kv_span = tracer_->start_span(raw->ctx.trace, raw->exec_span,
                                            "nic.kv_wait", sim_.now());
       }
-      Packet kv;
-      kv.src = node_;
-      kv.dst = kv_server_;
-      kv.kind = PacketKind::kKvRequest;
-      kv.lambda.request_id = token;
-      kv.lambda.workload_id =
-          static_cast<WorkloadId>(ext.kind);  // 0 = GET, 1 = SET
-      std::vector<std::uint8_t> kv_body(16);
-      for (int i = 0; i < 8; ++i) {
-        kv_body[i] = static_cast<std::uint8_t>(ext.key >> (8 * i));
-        kv_body[8 + i] = static_cast<std::uint8_t>(ext.value >> (8 * i));
-      }
-      kv.payload = std::move(kv_body);
+      Packet kv = proto::encode_kv_call(
+          node_, kv_server_, token,
+          {static_cast<WorkloadId>(ext.kind), ext.key, ext.value});
       network_.send(std::move(kv));
     });
     return;
@@ -589,17 +572,13 @@ void SmartNic::handle_kv_response(const Packet& packet) {
     tracer_->end_span(flight->kv_span, sim_.now());
     flight->kv_span = trace::kInvalidSpan;
   }
-  std::uint64_t reply = 0;
-  for (std::size_t i = 0; i < 8 && i < packet.payload.size(); ++i) {
-    reply |= static_cast<std::uint64_t>(packet.payload[i]) << (8 * i);
-  }
-  Outcome outcome = resume_machine(*flight, reply);
+  Outcome outcome = resume_machine(*flight, proto::decode_kv_reply(packet));
   continue_flight(std::move(flight), std::move(outcome));
 }
 
 void SmartNic::finish_flight(std::unique_ptr<Flight> flight,
                              Outcome outcome) {
-  inflight_bytes_ -= flight->staged_bytes;
+  staged_bytes_ -= flight->staged_bytes;
   stats_.service_cycles.add(static_cast<double>(outcome.cycles));
   if (flight->exec_span != trace::kInvalidSpan) {
     tracer_->annotate(flight->exec_span, "cycles",

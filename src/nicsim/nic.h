@@ -37,6 +37,7 @@
 #include "microc/interp.h"
 #include "net/network.h"
 #include "net/packet.h"
+#include "net/reassembly.h"
 #include "nicsim/profiler.h"
 #include "sim/simulator.h"
 
@@ -214,7 +215,9 @@ class SmartNic {
   struct Flight;  // one in-flight request occupying a thread
 
   void handle_packet(const net::Packet& packet);
-  void handle_request(const net::Packet& packet, net::BufferView body);
+  /// `staged`: EMEM bytes the body occupies (reassembled RDMA writes).
+  void handle_request(const net::Packet& packet, net::BufferView body,
+                      Bytes staged);
   void handle_rdma_fragment(const net::Packet& packet);
   void handle_kv_response(const net::Packet& packet);
   void enter_parse_stage(std::unique_ptr<Flight> flight);
@@ -279,17 +282,15 @@ class SmartNic {
   std::map<TenantId, TenantQuota> tenant_quotas_;
   std::map<TenantId, TenantUsage> tenant_usage_;
 
-  // RDMA reassembly: (src, request id) -> fragment views received. The
-  // fragments land "in EMEM" by reference; reassembly coalesces them
-  // into a spanning view without copying.
-  struct Reassembly {
-    std::vector<net::BufferView> frags;
-    std::uint32_t received = 0;
-    net::Packet first;  // header template
-    trace::SpanId span = trace::kInvalidSpan;  // nic.reassemble
-  };
-  std::map<std::pair<NodeId, RequestId>, Reassembly> reassembly_;
-  Bytes inflight_bytes_ = 0;
+  // RDMA writes land "in EMEM" by reference; reassembly coalesces the
+  // fragments into a spanning view without copying. A partial's tag is
+  // its nic.reassemble span. EMEM staging = the reassembler's buffered
+  // bytes + the bodies held by flights (staged_bytes_).
+  net::Reassembler reassembly_;
+  Bytes staged_bytes_ = 0;
+  Bytes emem_staged() const {
+    return reassembly_.buffered_bytes() + staged_bytes_;
+  }
 
   // Suspended flights waiting for a KV reply, keyed by ext-call token.
   std::map<RequestId, std::unique_ptr<Flight>> waiting_kv_;

@@ -10,17 +10,9 @@
 
 #include "microc/interp.h"
 #include "net/packet.h"
+#include "proto/wire.h"
 
 namespace lnic::proto {
-
-inline std::uint64_t payload_word(const BufferView& body,
-                                  std::size_t index) {
-  std::uint64_t v = 0;
-  for (std::size_t b = 0; b < 8 && index * 8 + b < body.size(); ++b) {
-    v |= static_cast<std::uint64_t>(body[index * 8 + b]) << (8 * b);
-  }
-  return v;
-}
 
 /// Fills an invocation from the request header + (reassembled) body.
 /// `body` is a zero-copy view shared with the packet buffer.
@@ -31,10 +23,10 @@ inline microc::Invocation build_invocation(const net::LambdaHeader& header,
   inv.headers.fields[microc::kHdrRequestId] = header.request_id;
   inv.headers.fields[microc::kHdrSrcNode] = src;
   inv.headers.fields[microc::kHdrBodyLen] = body.size();
-  const std::uint64_t word0 = payload_word(body, 0);
+  const std::uint64_t word0 = load_le<std::uint64_t>(body, 0);
   inv.headers.fields[microc::kHdrOp] = word0;
-  inv.headers.fields[microc::kHdrKey] = payload_word(body, 1);
-  inv.headers.fields[microc::kHdrValue] = payload_word(body, 2);
+  inv.headers.fields[microc::kHdrKey] = load_le<std::uint64_t>(body, 8);
+  inv.headers.fields[microc::kHdrValue] = load_le<std::uint64_t>(body, 16);
   inv.headers.fields[microc::kHdrImageWidth] = word0 & 0xFFFF;
   inv.headers.fields[microc::kHdrImageHeight] = (word0 >> 16) & 0xFFFF;
   inv.body = std::move(body);

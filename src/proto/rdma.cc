@@ -1,31 +1,12 @@
 #include "proto/rdma.h"
 
 #include "net/packet.h"
+#include "proto/wire.h"
 
 namespace lnic::proto {
 
 using net::Packet;
 using net::PacketKind;
-
-namespace {
-
-std::uint64_t read_u64(const net::BufferView& body, std::size_t at) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8 && at + i < body.size(); ++i) {
-    v |= static_cast<std::uint64_t>(body[at + i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint32_t read_u32(const net::BufferView& body, std::size_t at) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4 && at + i < body.size(); ++i) {
-    v |= static_cast<std::uint32_t>(body[at + i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 // ------------------------------------------------------- HostMemoryNode
 
@@ -39,22 +20,9 @@ HostMemoryNode::HostMemoryNode(sim::Simulator& sim, net::Network& network,
 void HostMemoryNode::handle_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kRdmaWrite) return;
   if (packet.lambda.frag_count > 1) {
-    const auto key = std::make_pair(packet.src, packet.lambda.request_id);
-    Reassembly& re = reassembly_[key];
-    if (re.frags.empty()) {
-      re.frags.resize(packet.lambda.frag_count);
-      re.first = packet;
+    if (auto message = reassembly_.add(packet, sim_.now())) {
+      serve(message->first, std::move(message->body));
     }
-    if (packet.lambda.frag_index >= re.frags.size()) return;
-    if (re.frags[packet.lambda.frag_index].empty()) {
-      re.frags[packet.lambda.frag_index] = packet.payload;
-      ++re.received;
-    }
-    if (re.received < re.frags.size()) return;
-    net::BufferView body = coalesce(re.frags);
-    Packet first = re.first;
-    reassembly_.erase(key);
-    serve(first, std::move(body));
   } else {
     serve(packet, packet.payload);
   }
@@ -76,7 +44,7 @@ void HostMemoryNode::serve(const Packet& request, net::BufferView body) {
   header.request_id = request.lambda.request_id;
   net::BufferView reply_body;
   if (is_read) {
-    const Bytes len = read_u32(body, 8);
+    const Bytes len = load_le<std::uint32_t>(body, 8);
     ++stats_.reads;
     stats_.bytes_read += len;
     service = config_.read_service;
@@ -123,13 +91,10 @@ void RdmaQp::read(NodeId host, std::uint64_t addr, Bytes len,
   p.frags_expected = static_cast<std::uint32_t>(
       len == 0 ? 1 : (len + net::kMaxPayload - 1) / net::kMaxPayload);
 
-  std::vector<std::uint8_t> body(12);
-  for (int i = 0; i < 8; ++i) {
-    body[i] = static_cast<std::uint8_t>(addr >> (8 * i));
-  }
-  for (int i = 0; i < 4; ++i) {
-    body[8 + i] = static_cast<std::uint8_t>(len >> (8 * i));
-  }
+  std::vector<std::uint8_t> body;
+  body.reserve(12);
+  append_le(&body, addr);
+  append_le(&body, static_cast<std::uint32_t>(len));
   Packet request;
   request.src = node_;
   request.dst = host;

@@ -27,11 +27,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "common/buffer.h"
 #include "common/types.h"
 #include "net/network.h"
+#include "net/reassembly.h"
 #include "sim/simulator.h"
 
 namespace lnic::proto {
@@ -77,13 +77,7 @@ class HostMemoryNode {
   NodeId node_;
   Buffer::Ptr zeros_;
   HostMemoryStats stats_;
-
-  struct Reassembly {
-    std::vector<net::BufferView> frags;
-    std::uint32_t received = 0;
-    net::Packet first;
-  };
-  std::map<std::pair<NodeId, RequestId>, Reassembly> reassembly_;
+  net::Reassembler reassembly_;  // multi-packet WRITE requests
 };
 
 struct RdmaQpStats {

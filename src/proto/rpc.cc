@@ -4,25 +4,12 @@
 #include <cassert>
 
 #include "common/flightrec.h"
+#include "common/rng.h"
 
 namespace lnic::proto {
 
 using net::Packet;
 using net::PacketKind;
-
-namespace {
-
-/// Deterministic jitter for backed-off retransmissions: a SplitMix64-style
-/// hash of (request id, retry count) keeps replays bit-reproducible while
-/// decorrelating the retry clocks of concurrent requests.
-std::uint64_t jitter_hash(RequestId id, std::uint32_t retries) {
-  std::uint64_t z = id * 0x9E3779B97F4A7C15ull + retries;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 void RttEstimator::sample(SimDuration rtt) {
   const double r = static_cast<double>(rtt);
@@ -121,8 +108,9 @@ SimDuration RpcClient::retransmit_delay(const Pending& p, RequestId id) const {
   if (p.retries > 0 && base > 4) {
     // Up to 25% deterministic jitter so synchronized retries fan out
     // instead of re-colliding (the retransmission-storm guard).
-    base += static_cast<SimDuration>(jitter_hash(id, p.retries) %
-                                     static_cast<std::uint64_t>(base / 4));
+    base += static_cast<SimDuration>(
+        splitmix64(id * kSplitMixGamma + p.retries) %
+        static_cast<std::uint64_t>(base / 4));
     base = std::min(base, config_.max_rto);
   }
   return base;
@@ -161,11 +149,10 @@ void RpcClient::on_timeout(RequestId id) {
   }
   ++p.retries;
   ++retransmissions_;
-  // Weakly-consistent delivery: resend the whole message; receivers
-  // treat duplicate (src, request id) pairs idempotently.
-  p.frags.clear();
-  p.got.clear();
-  p.received = 0;
+  // Weakly-consistent delivery: resend the whole message. Receivers
+  // reassemble it again, so a request may run more than once (at least
+  // once); the partial response collected so far is discarded.
+  p.response.clear();
   transmit(id);
   arm_timer(id);
 }
@@ -175,21 +162,8 @@ void RpcClient::on_packet(const Packet& packet) {
   auto it = pending_.find(packet.lambda.request_id);
   if (it == pending_.end()) return;  // late duplicate after completion
   Pending& p = it->second;
-  const std::uint32_t count = packet.lambda.frag_count;
-  if (count == 0) return;  // malformed header
-  if (p.frags.empty()) {
-    p.frags.resize(count);
-    p.got.assign(count, false);
-  } else if (count != p.frags.size()) {
-    return;  // inconsistent frag_count across fragments: drop
-  }
-  const std::uint32_t index = packet.lambda.frag_index;
-  if (index >= p.frags.size()) return;
-  if (p.got[index]) return;  // duplicate fragment (possibly empty)
-  p.got[index] = true;
-  p.frags[index] = packet.payload;
-  ++p.received;
-  if (p.received < p.frags.size()) return;
+  if (!p.response.add(packet.lambda, packet.payload)) return;
+  if (!p.response.complete()) return;
 
   // Karn's rule: a response to a retransmitted request is ambiguous (it
   // may answer any of the transmissions), so it contributes no sample.
@@ -200,7 +174,7 @@ void RpcClient::on_packet(const Packet& packet) {
   RpcResponse response;
   // Zero-copy on the fast path: response fragments are contiguous
   // slices of the responder's buffer, so this is a spanning view.
-  response.payload = coalesce(p.frags);
+  response.payload = p.response.body();
   response.latency = sim_.now() - p.sent_at;
   response.retries = p.retries;
   if (p.attempt_span != trace::kInvalidSpan) {

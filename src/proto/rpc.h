@@ -21,13 +21,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "net/network.h"
+#include "net/reassembly.h"
 #include "sim/simulator.h"
 
 namespace lnic::proto {
@@ -123,11 +123,7 @@ class RpcClient {
     trace::SpanContext ctx;
     trace::SpanId call_span = trace::kInvalidSpan;
     trace::SpanId attempt_span = trace::kInvalidSpan;
-    // Response reassembly: `got` tracks receipt explicitly so duplicate
-    // or zero-length fragments can never double-count.
-    std::vector<net::BufferView> frags;
-    std::vector<bool> got;
-    std::uint32_t received = 0;
+    net::FragmentSet response;  // response fragments of this attempt
   };
 
   void transmit(RequestId id);

@@ -62,6 +62,12 @@ TEST(Rng, DeterministicUnderSeed) {
   EXPECT_TRUE(diverged);
 }
 
+TEST(Rng, SplitMix64MatchesReferenceOutput) {
+  // First two outputs of the reference SplitMix64 generator from state 0.
+  EXPECT_EQ(splitmix64(kSplitMixGamma), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(splitmix64(2 * kSplitMixGamma), 0x6E789E6AA1B965F4ull);
+}
+
 TEST(Rng, NextBelowInRange) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {

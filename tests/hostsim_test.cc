@@ -66,6 +66,39 @@ TEST(HostServer, ServesWebRequestCorrectly) {
   EXPECT_EQ(page, workloads::expected_web_page(rig.bundle, 2));
 }
 
+// The host side of the stale-partial case: after a lossy first send and
+// a full retransmit, the retransmit's late fragment is held only until
+// the reassembly timeout.
+TEST(HostServer, LateDuplicateFragmentReleasedAfterReassemblyTimeout) {
+  Rig rig;
+  std::vector<std::uint8_t> body = encode_web_request(1);
+  body.resize(5 * net::kMaxPayload, 0x5A);
+  const auto send_frags = [&](RequestId id, bool drop_third) {
+    net::LambdaHeader hdr;
+    hdr.workload_id = workloads::kWebServerId;
+    hdr.request_id = id;
+    for (auto& f : net::fragment(rig.client, rig.host->node(),
+                                 PacketKind::kRequest, hdr, body)) {
+      if (drop_third && f.lambda.frag_index == 3) continue;
+      rig.network.send(std::move(f));
+    }
+  };
+
+  send_frags(1, /*drop_third=*/true);
+  rig.sim.run();
+  EXPECT_EQ(rig.host->reassembly_bytes(), 4 * net::kMaxPayload);
+  send_frags(1, /*drop_third=*/false);  // full retransmit
+  rig.sim.run();
+  EXPECT_EQ(rig.host->stats().requests_completed, 1u);
+  EXPECT_EQ(rig.host->reassembly_bytes(), net::kMaxPayload);
+
+  rig.sim.run_until(rig.sim.now() + net::Reassembler::kTimeout + seconds(1));
+  send_frags(2, /*drop_third=*/false);
+  rig.sim.run();
+  EXPECT_EQ(rig.host->stats().requests_completed, 2u);
+  EXPECT_EQ(rig.host->reassembly_bytes(), 0u);
+}
+
 TEST(HostServer, LatencyIncludesRuntimeOverheads) {
   HostConfig config;
   config.per_request = microseconds(250);

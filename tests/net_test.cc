@@ -2,11 +2,15 @@
 // fragmentation, and fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/network.h"
-#include "net/trace.h"
 #include "net/packet.h"
+#include "net/reassembly.h"
+#include "net/trace.h"
 #include "sim/simulator.h"
 
 namespace lnic::net {
@@ -59,6 +63,132 @@ TEST(Fragment, EmptyPayloadStillProducesOnePacket) {
   auto frags = fragment(0, 1, PacketKind::kRequest, {}, {});
   ASSERT_EQ(frags.size(), 1u);
   EXPECT_TRUE(frags[0].payload.empty());
+}
+
+Packet fragment_of(NodeId src, RequestId id, std::uint32_t index,
+                   std::uint32_t count, BufferView payload) {
+  Packet p;
+  p.src = src;
+  p.kind = PacketKind::kRdmaWrite;
+  p.lambda.request_id = id;
+  p.lambda.frag_index = index;
+  p.lambda.frag_count = count;
+  p.payload = std::move(payload);
+  return p;
+}
+
+// One seeded table of cases: random cut points (zero-length fragments
+// included), arrival orders with duplicates and drops, and malformed
+// fragments (out-of-range index, frag_count 0, a frag_count that
+// disagrees with the first fragment's) mixed in after the first arrival.
+TEST(Reassembler, CompletesOnceWithOriginalBodyWhenEveryIndexArrives) {
+  Rng rng(2027);
+  for (RequestId round = 0; round < 500; ++round) {
+    const auto count = static_cast<std::uint32_t>(1 + rng.next_below(8));
+    std::vector<std::uint8_t> bytes(rng.next_below(4 * kMaxPayload));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    const BufferView body(bytes);
+    std::vector<std::size_t> cuts = {0, bytes.size()};
+    for (std::uint32_t i = 1; i < count; ++i) {
+      cuts.push_back(rng.next_below(bytes.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+
+    // Arrival order: every index one to three times, shuffled; a quarter
+    // of the cases lose one index entirely.
+    const bool lossy = rng.next_below(4) == 0;
+    const std::uint32_t lost = lossy ? rng.next_below(count) : count;
+    std::vector<Packet> arrivals;
+    std::vector<bool> malformed;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (i == lost) continue;
+      const std::uint64_t copies = 1 + rng.next_below(3);
+      for (std::uint64_t c = 0; c < copies; ++c) {
+        arrivals.push_back(fragment_of(
+            1, round, i, count, body.slice(cuts[i], cuts[i + 1] - cuts[i])));
+      }
+    }
+    for (std::size_t i = arrivals.size(); i > 1; --i) {
+      std::swap(arrivals[i - 1], arrivals[rng.next_below(i)]);
+    }
+    malformed.assign(arrivals.size(), false);
+    for (int junk = 0; junk < 3 && !arrivals.empty(); ++junk) {
+      Packet bad = arrivals.front();
+      if (junk == 0) {
+        bad.lambda.frag_index = count + rng.next_below(3);
+      } else if (junk == 1) {
+        bad.lambda.frag_count = 0;
+        bad.lambda.frag_index = 0;
+      } else {
+        bad.lambda.frag_count = count + 1 + rng.next_below(3);
+        bad.lambda.frag_index = rng.next_below(bad.lambda.frag_count);
+      }
+      const std::size_t at = 1 + rng.next_below(arrivals.size());
+      arrivals.insert(arrivals.begin() + at, bad);
+      malformed.insert(malformed.begin() + at, true);
+    }
+
+    Reassembler reassembler;
+    std::set<std::uint32_t> seen;
+    Bytes held = 0;
+    int completions = 0;
+    for (std::size_t k = 0; k < arrivals.size() && completions == 0; ++k) {
+      const Packet& p = arrivals[k];
+      const std::size_t partials = reassembler.partials();
+      const Bytes buffered = reassembler.buffered_bytes();
+      auto message = reassembler.add(p, /*now=*/0);
+      const bool fresh =
+          !malformed[k] && seen.insert(p.lambda.frag_index).second;
+      if (!fresh) {
+        // Malformed or duplicate: rejected without a trace.
+        EXPECT_FALSE(message.has_value()) << "round " << round;
+        EXPECT_EQ(reassembler.partials(), partials) << "round " << round;
+        EXPECT_EQ(reassembler.buffered_bytes(), buffered) << "round " << round;
+        continue;
+      }
+      held += p.payload.size();
+      if (seen.size() < count) {
+        EXPECT_FALSE(message.has_value()) << "round " << round;
+        EXPECT_EQ(reassembler.buffered_bytes(), held) << "round " << round;
+        continue;
+      }
+      ASSERT_TRUE(message.has_value()) << "round " << round;
+      ++completions;
+      EXPECT_EQ(message->body, body) << "round " << round;
+      EXPECT_EQ(message->first.lambda.request_id, round);
+      EXPECT_EQ(reassembler.partials(), 0u);
+      EXPECT_EQ(reassembler.buffered_bytes(), 0u);
+    }
+    EXPECT_EQ(completions, lossy ? 0 : 1) << "round " << round;
+    if (lossy) {
+      EXPECT_EQ(reassembler.partials(), count > 1 ? 1u : 0u);
+      EXPECT_EQ(reassembler.buffered_bytes(), held);
+    }
+  }
+}
+
+TEST(Reassembler, DropsPartialsOlderThanTimeoutWhenTheNextFragmentArrives) {
+  const BufferView half({1, 2, 3});
+  Reassembler r;
+  EXPECT_FALSE(r.add(fragment_of(1, 7, 0, 2, half), 0).has_value());
+  // Same request id from another source: a separate message.
+  EXPECT_FALSE(
+      r.add(fragment_of(2, 7, 0, 2, half), Reassembler::kTimeout - 1));
+  EXPECT_EQ(r.partials(), 2u);
+  EXPECT_EQ(r.buffered_bytes(), 6u);
+  // The first partial reaches the timeout: the next arrival drops it.
+  EXPECT_FALSE(r.add(fragment_of(1, 8, 0, 2, half), Reassembler::kTimeout));
+  EXPECT_EQ(r.partials(), 2u);
+  EXPECT_EQ(r.buffered_bytes(), 6u);
+  // Its missing half now opens a new message instead of completing.
+  EXPECT_FALSE(r.add(fragment_of(1, 7, 1, 2, half), Reassembler::kTimeout));
+  EXPECT_EQ(r.partials(), 3u);
+  // Completion, then a full retransmit is delivered again (at least once).
+  EXPECT_TRUE(r.add(fragment_of(2, 7, 1, 2, half), Reassembler::kTimeout));
+  EXPECT_FALSE(r.add(fragment_of(2, 7, 0, 2, half), Reassembler::kTimeout));
+  const auto again = r.add(fragment_of(2, 7, 1, 2, half), Reassembler::kTimeout);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->body, (std::vector<std::uint8_t>{1, 2, 3, 1, 2, 3}));
 }
 
 class NetworkTest : public ::testing::Test {

@@ -140,6 +140,50 @@ TEST(SmartNic, RdmaReassemblyToleratesReordering) {
   EXPECT_EQ(gray, workloads::to_grayscale(img));
 }
 
+// Weakly-consistent RPC retransmits whole messages. A first send that
+// loses fragment 3 of 5, followed by a full retransmit, is served once;
+// the retransmit's late fragment 4 then opens a partial that can never
+// complete. It must not hold EMEM past the reassembly timeout.
+TEST(SmartNic, LateDuplicateFragmentReleasedAfterReassemblyTimeout) {
+  Rig rig;
+  const Bytes base = rig.nic->memory_in_use();
+  ASSERT_EQ(rig.nic->region_bytes_used(microc::MemRegion::kEmem), 0u);
+  std::vector<std::uint8_t> body = encode_web_request(1);
+  body.resize(5 * net::kMaxPayload, 0x5A);
+  const auto send_frags = [&](RequestId id, bool drop_third) {
+    net::LambdaHeader hdr;
+    hdr.workload_id = workloads::kWebServerId;
+    hdr.request_id = id;
+    auto frags = net::fragment(rig.client, rig.nic->node(),
+                               PacketKind::kRdmaWrite, hdr, body);
+    ASSERT_EQ(frags.size(), 5u);
+    for (auto& f : frags) {
+      if (drop_third && f.lambda.frag_index == 3) continue;
+      rig.network.send(std::move(f));
+    }
+  };
+  const auto served = [&] {
+    std::size_t n = 0;
+    for (const auto& p : rig.responses) n += p.lambda.frag_index == 0;
+    return n;
+  };
+
+  send_frags(1, /*drop_third=*/true);
+  rig.sim.run();
+  EXPECT_EQ(served(), 0u);
+  send_frags(1, /*drop_third=*/false);  // full retransmit
+  rig.sim.run();
+  EXPECT_EQ(served(), 1u);
+  EXPECT_EQ(rig.nic->stats().requests_completed, 1u);
+
+  rig.sim.run_until(rig.sim.now() + net::Reassembler::kTimeout + seconds(1));
+  send_frags(2, /*drop_third=*/false);
+  rig.sim.run();
+  EXPECT_EQ(served(), 2u);
+  EXPECT_EQ(rig.nic->region_bytes_used(microc::MemRegion::kEmem), 0u);
+  EXPECT_EQ(rig.nic->memory_in_use(), base);
+}
+
 TEST(SmartNic, DropsRequestsDuringFirmwareLoad) {
   NicConfig config;  // hot swap off: 15 s load window
   sim::Simulator sim;

@@ -7,6 +7,7 @@
 
 #include "net/network.h"
 #include "proto/rpc.h"
+#include "proto/wire.h"
 #include "sim/simulator.h"
 
 namespace lnic::proto {
@@ -324,6 +325,58 @@ TEST(RpcClient, KarnsRuleSkipsAmbiguousSamples) {
   // is ambiguous and must not have fed the estimator.
   EXPECT_EQ(client.estimator(server), nullptr);
   EXPECT_EQ(client.current_rto(server), config.retransmit_timeout);
+}
+
+TEST(Wire, LittleEndianLoadsAndAppends) {
+  std::vector<std::uint8_t> bytes;
+  append_le(&bytes, std::uint16_t{0x0102});
+  append_le(&bytes, std::uint32_t{0x03040506});
+  append_le(&bytes, std::uint64_t{0x0708090A0B0C0D0E});
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04,
+                                              0x03, 0x0E, 0x0D, 0x0C, 0x0B,
+                                              0x0A, 0x09, 0x08, 0x07}));
+  const BufferView view(bytes);
+  EXPECT_EQ(load_le<std::uint16_t>(view, 0), 0x0102u);
+  EXPECT_EQ(load_le<std::uint32_t>(view, 2), 0x03040506u);
+  EXPECT_EQ(load_le<std::uint64_t>(view, 6), 0x0708090A0B0C0D0Eull);
+  // Bytes past the end read as zero.
+  EXPECT_EQ(load_le<std::uint64_t>(view, 12), 0x0708u);
+  EXPECT_EQ(load_le<std::uint64_t>(view, 40), 0u);
+}
+
+TEST(KvCodec, CallAndReplyWireBytes) {
+  const Packet call =
+      encode_kv_call(3, 4, 77, {kKvSet, 0x0102030405060708, 0x2A});
+  EXPECT_EQ(call.src, 3u);
+  EXPECT_EQ(call.dst, 4u);
+  EXPECT_EQ(call.kind, PacketKind::kKvRequest);
+  EXPECT_EQ(call.lambda.workload_id, kKvSet);
+  EXPECT_EQ(call.lambda.request_id, 77u);
+  EXPECT_EQ(call.payload,
+            (std::vector<std::uint8_t>{8, 7, 6, 5, 4, 3, 2, 1,  //
+                                       0x2A, 0, 0, 0, 0, 0, 0, 0}));
+  const KvCall decoded = decode_kv_call(call);
+  EXPECT_EQ(decoded.op, kKvSet);
+  EXPECT_EQ(decoded.key, 0x0102030405060708u);
+  EXPECT_EQ(decoded.value, 0x2Au);
+
+  const Packet reply = encode_kv_reply(4, 3, kKvGet, 77, 0xAABB);
+  EXPECT_EQ(reply.kind, PacketKind::kKvResponse);
+  EXPECT_EQ(reply.dst, 3u);
+  EXPECT_EQ(reply.lambda.workload_id, kKvGet);
+  EXPECT_EQ(reply.lambda.request_id, 77u);
+  EXPECT_EQ(reply.payload,
+            (std::vector<std::uint8_t>{0xBB, 0xAA, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(decode_kv_reply(reply), 0xAABBu);
+
+  // Short bodies decode with the missing bytes as zero.
+  Packet short_call = call;
+  short_call.payload = {1, 2};
+  EXPECT_EQ(decode_kv_call(short_call).key, 0x0201u);
+  EXPECT_EQ(decode_kv_call(short_call).value, 0u);
+  Packet empty_reply = reply;
+  empty_reply.payload = {};
+  EXPECT_EQ(decode_kv_reply(empty_reply), 0u);
 }
 
 TEST(RpcClient, DuplicateEmptyFragmentCannotCompleteResponse) {
