@@ -48,16 +48,31 @@ PageId BPlusTree::descend(Key key, std::vector<PageId>* path,
 }
 
 bool BPlusTree::get(Key key, Value* out) const {
-  const PageId leaf = descend(key, nullptr, nullptr);
+  return get_at(descend(key, nullptr, nullptr), key, out);
+}
+
+PageId BPlusTree::path_for(Key key, std::vector<PageId>* out) const {
+  return descend(key, out, nullptr);
+}
+
+bool BPlusTree::get_at(PageId leaf, Key key, Value* out) const {
   const Node& n = node(leaf);
+  if (!n.leaf) return false;
   const auto it = std::lower_bound(n.keys.begin(), n.keys.end(), key);
   if (it == n.keys.end() || *it != key) return false;
   if (out != nullptr) *out = n.values[it - n.keys.begin()];
   return true;
 }
 
-void BPlusTree::path_for(Key key, std::vector<PageId>* out) const {
-  descend(key, out, nullptr);
+bool BPlusTree::update_at(PageId leaf, Key key, Value value) {
+  Node& n = node(leaf);
+  if (!n.leaf) return false;
+  const auto it = std::lower_bound(n.keys.begin(), n.keys.end(), key);
+  if (it == n.keys.end() || *it != key) return false;
+  n.values[it - n.keys.begin()] = value;
+  dirty_.assign(1, leaf);
+  freed_.clear();
+  return true;
 }
 
 bool BPlusTree::put(Key key, Value value) {
@@ -77,6 +92,7 @@ bool BPlusTree::put(Key key, Value value) {
   n.keys.insert(it, key);
   n.values.insert(n.values.begin() + at, value);
   ++size_;
+  ++shape_version_;
   if (n.keys.size() > config_.order) split_up(path, slots);
   return true;
 }
@@ -140,6 +156,7 @@ bool BPlusTree::erase(Key key) {
   n.keys.erase(it);
   n.values.erase(n.values.begin() + at);
   --size_;
+  ++shape_version_;
   dirty_.push_back(leaf);
   if (leaf != root_ && n.keys.size() < min_keys()) {
     rebalance_up(path, slots);
@@ -381,36 +398,68 @@ bool BPlusTree::check_invariants(std::string* why) const {
 
 // ------------------------------------------------------------ NodeCache
 
+NodeCache::NodeCache(std::size_t capacity)
+    : capacity_(capacity), prev_(1, kHead), next_(1, kHead),
+      page_(1, kInvalidPage) {}
+
+void NodeCache::unlink(Slot s) {
+  next_[prev_[s]] = next_[s];
+  prev_[next_[s]] = prev_[s];
+}
+
+void NodeCache::push_front(Slot s) {
+  prev_[s] = kHead;
+  next_[s] = next_[kHead];
+  prev_[next_[kHead]] = s;
+  next_[kHead] = s;
+}
+
+void NodeCache::release(Slot s) {
+  unlink(s);
+  slot_of_[page_[s]] = kHead;
+  next_[s] = free_;
+  free_ = s;
+  --size_;
+}
+
 bool NodeCache::access(PageId id) {
-  const auto it = map_.find(id);
-  if (it == map_.end()) {
+  const Slot s = slot(id);
+  if (s == kHead) {
     ++stats_.misses;
     return false;
   }
   ++stats_.hits;
-  lru_.erase(it->second);
-  lru_.push_front(id);
-  it->second = lru_.begin();
+  unlink(s);
+  push_front(s);
   return true;
 }
 
 void NodeCache::insert(PageId id) {
-  if (capacity_ == 0 || map_.count(id) != 0) return;
-  if (map_.size() >= capacity_) {
-    const PageId victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
+  if (capacity_ == 0 || resident(id)) return;
+  if (size_ >= capacity_) {
+    release(prev_[kHead]);  // evict the least recently used page
     ++stats_.evictions;
   }
-  lru_.push_front(id);
-  map_.emplace(id, lru_.begin());
+  Slot s = free_;
+  if (s != kHead) {
+    free_ = next_[s];
+  } else {  // every slot in use: add one
+    s = static_cast<Slot>(page_.size());
+    prev_.push_back(kHead);
+    next_.push_back(kHead);
+    page_.push_back(kInvalidPage);
+  }
+  if (id >= slot_of_.size()) slot_of_.resize(std::size_t{id} + 1, kHead);
+  slot_of_[id] = s;
+  page_[s] = id;
+  push_front(s);
+  ++size_;
 }
 
 bool NodeCache::invalidate(PageId id) {
-  const auto it = map_.find(id);
-  if (it == map_.end()) return false;
-  lru_.erase(it->second);
-  map_.erase(it);
+  const Slot s = slot(id);
+  if (s == kHead) return false;
+  release(s);
   ++stats_.invalidations;
   return true;
 }

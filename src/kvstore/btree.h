@@ -20,9 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -65,12 +63,27 @@ class BPlusTree {
   std::size_t scan(Key start, std::size_t count,
                    std::vector<std::pair<Key, Value>>* out) const;
 
-  /// Root-to-leaf page path a lookup of `key` visits.
-  void path_for(Key key, std::vector<PageId>* out) const;
+  /// Root-to-leaf page path a lookup of `key` visits; returns the leaf
+  /// it reached (the path's last page).
+  PageId path_for(Key key, std::vector<PageId>* out) const;
   /// Pages a scan touches: the descent path plus the chained leaves the
   /// scan walks through.
   void scan_path(Key start, std::size_t count,
                  std::vector<PageId>* out) const;
+
+  /// Counts changes of shape: every put that inserts a new key and every
+  /// erase that removes one bumps it. No other operation splits, merges
+  /// or borrows, so while the counter is unchanged every key stays in the
+  /// leaf path_for() reported for it.
+  std::uint64_t shape_version() const { return shape_version_; }
+
+  /// get() and put() for a key known to live in `leaf`: the leaf
+  /// path_for() returned under the current shape_version(). No descent.
+  /// Both return false when `leaf` does not hold `key`; update_at() then
+  /// changes nothing (the caller put()s instead), and otherwise records
+  /// exactly {leaf} dirty, as put() does for an existing key.
+  bool get_at(PageId leaf, Key key, Value* out) const;
+  bool update_at(PageId leaf, Key key, Value value);
 
   /// Pages modified / freed by the last put/erase (cleared per call).
   const std::vector<PageId>& last_dirty() const { return dirty_; }
@@ -125,6 +138,7 @@ class BPlusTree {
   PageId root_;
   std::uint32_t height_ = 1;  // levels including the leaf level
   std::size_t size_ = 0;
+  std::uint64_t shape_version_ = 0;
   std::vector<PageId> dirty_;
   std::vector<PageId> freed_;
 };
@@ -145,9 +159,15 @@ struct NodeCacheStats {
 
 /// Bounded LRU of NIC-resident tree pages. Capacity 0 models the
 /// host-backend baseline: every access misses and nothing is retained.
+///
+/// An intrusive doubly-linked LRU over index arrays: no hashing and no
+/// per-node allocation. Each resident page holds one of `capacity` slots;
+/// `slot_of_` maps the dense PageId to its slot, and the slot arrays carry
+/// the list links and the page. Slot 0 is the list's sentinel and, in
+/// `slot_of_`, means "not resident".
 class NodeCache {
  public:
-  explicit NodeCache(std::size_t capacity) : capacity_(capacity) {}
+  explicit NodeCache(std::size_t capacity);
 
   /// True (and LRU-touch) when `id` is resident; false counts a miss —
   /// the caller fetches the page and insert()s it.
@@ -161,15 +181,29 @@ class NodeCache {
   /// or frees it). Returns true when a copy was resident.
   bool invalidate(PageId id);
 
-  bool resident(PageId id) const { return map_.count(id) != 0; }
-  std::size_t size() const { return map_.size(); }
+  bool resident(PageId id) const { return slot(id) != kHead; }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
   const NodeCacheStats& stats() const { return stats_; }
 
  private:
+  using Slot = std::uint32_t;
+  static constexpr Slot kHead = 0;
+  Slot slot(PageId id) const {
+    return id < slot_of_.size() ? slot_of_[id] : kHead;
+  }
+  void unlink(Slot s);
+  void push_front(Slot s);  // most recent at the front
+  /// Unlinks `s`, unmaps its page and puts it on the free-slot chain.
+  void release(Slot s);
+
   std::size_t capacity_;
-  std::list<PageId> lru_;  // most recent at front
-  std::unordered_map<PageId, std::list<PageId>::iterator> map_;
+  std::size_t size_ = 0;
+  std::vector<Slot> slot_of_;  // by PageId
+  std::vector<Slot> prev_;     // by slot; grows to at most capacity + 1
+  std::vector<Slot> next_;     // by slot; free slots chain through it
+  std::vector<PageId> page_;   // by slot
+  Slot free_ = kHead;          // head of the free-slot chain
   NodeCacheStats stats_;
 };
 

@@ -287,7 +287,8 @@ void TxnStore::charge_pages(TxnId id) {
   if (op.kind == OpKind::kScan) {
     tree_.scan_path(op.key, op.scan_len, &st.pages);
   } else {
-    tree_.path_for(op.key, &st.pages);
+    st.leaf = tree_.path_for(op.key, &st.pages);
+    st.leaf_version = tree_.shape_version();
   }
   step_page(id);
 }
@@ -321,13 +322,10 @@ void TxnStore::finish_op(TxnId id) {
   const TxnOp& op = st.req.ops[st.op_idx];
   switch (op.kind) {
     case OpKind::kRead: {
-      Value v = 0;
       const auto buf = st.write_buffer.find(op.key);
-      if (buf != st.write_buffer.end()) {
-        v = buf->second;  // read-your-writes
-      } else {
-        tree_.get(op.key, &v);
-      }
+      const Value v = buf != st.write_buffer.end()
+                          ? buf->second.value  // read-your-writes
+                          : read_committed(st, op.key);
       st.read_xor ^= v;
       ++st.reads;
       break;
@@ -343,28 +341,36 @@ void TxnStore::finish_op(TxnId id) {
     }
     case OpKind::kWrite:
     case OpKind::kInsert:
-      st.write_buffer[op.key] = op.value;
+      st.write_buffer[op.key] = {op.value, st.leaf, st.leaf_version};
       break;
     case OpKind::kRemove:
       st.write_buffer.erase(op.key);
       st.removes.push_back(op.key);
       break;
     case OpKind::kRmw: {
-      Value v = 0;
       const auto buf = st.write_buffer.find(op.key);
-      if (buf != st.write_buffer.end()) {
-        v = buf->second;
-      } else {
-        tree_.get(op.key, &v);
-      }
+      const Value v = buf != st.write_buffer.end()
+                          ? buf->second.value
+                          : read_committed(st, op.key);
       st.read_xor ^= v;
       ++st.reads;
-      st.write_buffer[op.key] = v + (op.value == 0 ? 1 : op.value);
+      st.write_buffer[op.key] = {v + (op.value == 0 ? 1 : op.value), st.leaf,
+                                 st.leaf_version};
       break;
     }
   }
   ++st.op_idx;
   step_op(id);
+}
+
+Value TxnStore::read_committed(const TxnState& st, Key key) const {
+  Value v = 0;
+  if (st.leaf_version == tree_.shape_version()) {
+    tree_.get_at(st.leaf, key, &v);
+  } else {
+    tree_.get(key, &v);  // another commit reshaped the tree meanwhile
+  }
+  return v;
 }
 
 void TxnStore::commit(TxnId id) {
@@ -375,8 +381,13 @@ void TxnStore::commit(TxnId id) {
   // the mutations dirtied or freed.
   std::set<PageId> dirty;
   std::set<PageId> freed;
-  for (const auto& [k, v] : st.write_buffer) {
-    tree_.put(k, v);
+  for (const auto& [k, w] : st.write_buffer) {
+    // In place while the shape is unchanged and the key exists; inserts
+    // and writes behind a reshape descend again.
+    if (w.version != tree_.shape_version() ||
+        !tree_.update_at(w.leaf, k, w.value)) {
+      tree_.put(k, w.value);
+    }
     dirty.insert(tree_.last_dirty().begin(), tree_.last_dirty().end());
     freed.insert(tree_.last_freed().begin(), tree_.last_freed().end());
   }

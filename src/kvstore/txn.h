@@ -201,18 +201,29 @@ class TxnStore {
   static std::vector<std::uint8_t> encode_txn(const TxnRequest& request);
 
  private:
+  /// A buffered write and the leaf its op's descent reached: commit
+  /// updates that leaf in place while the tree's shape is unchanged.
+  struct BufferedWrite {
+    Value value = 0;
+    PageId leaf = kInvalidPage;
+    std::uint64_t version = 0;
+  };
+
   struct TxnState {
     TxnId id = 0;
     TxnTimestamp ts;
     TxnRequest req;
     TxnCallback cb;
     std::uint32_t attempt = 1;
-    // Per-attempt progress: current op, pages still to charge for it.
+    // Per-attempt progress: current op, pages still to charge for it,
+    // and the leaf its descent reached under `leaf_version`.
     std::size_t op_idx = 0;
     std::vector<PageId> pages;
     std::size_t page_idx = 0;
+    PageId leaf = kInvalidPage;
+    std::uint64_t leaf_version = 0;
     // Per-attempt buffered effects (applied to the tree at commit).
-    std::map<Key, Value> write_buffer;
+    std::map<Key, BufferedWrite> write_buffer;
     std::vector<Key> removes;
     std::uint32_t reads = 0;
     std::uint64_t read_xor = 0;
@@ -230,6 +241,9 @@ class TxnStore {
   void charge_pages(TxnId id);
   void step_page(TxnId id);
   void finish_op(TxnId id);
+  /// The committed value of `key` (0 when absent), read through the
+  /// leaf charge_pages() captured when the tree's shape is unchanged.
+  Value read_committed(const TxnState& st, Key key) const;
   void commit(TxnId id);
   void finish_commit(TxnId id);
   void on_abort(TxnId id);

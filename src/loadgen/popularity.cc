@@ -1,6 +1,7 @@
 #include "loadgen/popularity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace lnic::loadgen {
@@ -14,14 +15,37 @@ ZipfSelector::ZipfSelector(std::size_t n, double s, std::uint64_t seed)
     total += 1.0 / std::pow(static_cast<double>(rank + 1), s);
     cdf_.push_back(total);
   }
-  for (double& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against rounding in the search below
+  // Normalize, and in the same pass fill guide_[j] = lower_bound(j /
+  // buckets): the first rank whose (non-decreasing) CDF value reaches it.
+  const std::size_t buckets = std::min(kMaxBuckets, std::bit_ceil(n));
+  guide_.resize(buckets + 1);
+  std::size_t j = 0;
+  for (std::size_t rank = 0; rank < n; ++rank) {
+    // The last value is exactly 1, guarding against rounding in searches.
+    const double c = rank + 1 == n ? 1.0 : cdf_[rank] / total;
+    cdf_[rank] = c;
+    while (j <= buckets &&
+           static_cast<double>(j) / static_cast<double>(buckets) <= c) {
+      guide_[j++] = static_cast<std::uint32_t>(rank);
+    }
+  }
 }
 
-std::size_t ZipfSelector::sample() {
-  const double u = rng_.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+std::size_t ZipfSelector::rank_of(double u) const {
+  const std::size_t buckets = guide_.size() - 1;
+  if (!(u >= 0.0 && u < 1.0)) {
+    // Outside the table (or NaN): search the whole CDF.
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
+  }
+  const auto j = static_cast<std::size_t>(u * static_cast<double>(buckets));
+  // lower_bound is monotone in u, so the answer lies in
+  // [guide_[j], guide_[j + 1]]; when every CDF value in the half-open
+  // range is < u, the search returns its end, guide_[j + 1].
+  return static_cast<std::size_t>(
+      std::lower_bound(cdf_.begin() + guide_[j], cdf_.begin() + guide_[j + 1],
+                       u) -
+      cdf_.begin());
 }
 
 double ZipfSelector::expected_fraction(std::size_t rank) const {

@@ -22,13 +22,24 @@ class ZipfSelector {
   /// `s` is the skew exponent (0 = uniform, 0.9-1.1 = web-like).
   ZipfSelector(std::size_t n, double s, std::uint64_t seed);
 
-  std::size_t sample();
+  /// rank_of() of the next uniform draw in [0, 1).
+  std::size_t sample() { return rank_of(rng_.next_double()); }
+  /// Inverse CDF: the first rank whose cumulative mass is >= u, exactly
+  /// what std::lower_bound over the CDF returns.
+  std::size_t rank_of(double u) const;
   std::size_t size() const { return cdf_.size(); }
   /// The exact probability mass of `rank` under this distribution.
   double expected_fraction(std::size_t rank) const;
 
  private:
+  /// Guide-table buckets: a power of two, so u * buckets and j / buckets
+  /// are exact and bucket j holds exactly the u in [j, j+1) / buckets.
+  static constexpr std::size_t kMaxBuckets = 4096;
+
   std::vector<double> cdf_;  // cumulative, cdf_.back() == 1
+  /// guide_[j] = rank_of(j / buckets): every u in bucket j maps to a rank
+  /// in [guide_[j], guide_[j + 1]], so one short search finishes it.
+  std::vector<std::uint32_t> guide_;
   Rng rng_;
 };
 

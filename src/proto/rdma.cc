@@ -81,15 +81,11 @@ net::BufferView RdmaQp::synthetic(Bytes len) {
 }
 
 void RdmaQp::read(NodeId host, std::uint64_t addr, Bytes len,
-                  std::function<void()> done) {
+                  Completion done) {
   const RequestId id = next_id_++;
   ++stats_.reads;
   stats_.bytes_fetched += len;
-  Pending& p = pending_[id];
-  p.done = std::move(done);
-  // A read completion spans ceil(len / kMaxPayload) fragments.
-  p.frags_expected = static_cast<std::uint32_t>(
-      len == 0 ? 1 : (len + net::kMaxPayload - 1) / net::kMaxPayload);
+  pending_.emplace(id, std::move(done));
 
   std::vector<std::uint8_t> body;
   body.reserve(12);
@@ -106,14 +102,12 @@ void RdmaQp::read(NodeId host, std::uint64_t addr, Bytes len,
 }
 
 void RdmaQp::write(NodeId host, std::uint64_t addr, Bytes len,
-                   std::function<void()> done) {
+                   Completion done) {
   (void)addr;  // the host target is a timing server; data is synthetic
   const RequestId id = next_id_++;
   ++stats_.writes;
   stats_.bytes_pushed += len;
-  Pending& p = pending_[id];
-  p.done = std::move(done);
-  p.frags_expected = 1;  // write completions are a single ack packet
+  pending_.emplace(id, std::move(done));
 
   net::LambdaHeader header;
   header.workload_id = kRdmaOpWrite;
@@ -126,11 +120,12 @@ void RdmaQp::write(NodeId host, std::uint64_t addr, Bytes len,
 
 void RdmaQp::handle_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kRdmaEvent) return;
-  auto it = pending_.find(packet.lambda.request_id);
+  const auto it = pending_.find(packet.lambda.request_id);
   if (it == pending_.end()) return;
-  Pending& p = it->second;
-  if (++p.frags_received < p.frags_expected) return;
-  auto done = std::move(p.done);
+  if (packet.lambda.frag_count > 1 && !reassembly_.add(packet, sim_.now())) {
+    return;  // a fragment of a completion still incomplete
+  }
+  const Completion done = std::move(it->second);
   pending_.erase(it);
   if (done) done();
 }

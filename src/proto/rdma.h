@@ -12,9 +12,12 @@
 //    allocation, and serialization delays on the fabric stay faithful).
 //
 //  - RdmaQp: the active side (the NIC). read()/write() issue a verb and
-//    invoke the completion callback when the response (reassembled if
-//    the transfer spanned fragments) arrives. Requests are matched to
-//    completions by request id; any number may be in flight.
+//    invoke the completion callback when the response arrives. Requests
+//    are matched to completions by request id; any number may be in
+//    flight. A single-fragment completion (every B+-tree node read, every
+//    write ack) fires on arrival; a longer read completes through
+//    net::Reassembler, so a duplicated fragment never stands in for a
+//    missing one.
 //
 // Wire encoding: verbs travel as kRdmaWrite packets with
 // LambdaHeader::workload_id carrying the opcode. READ requests have a
@@ -25,13 +28,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
 #include "common/buffer.h"
 #include "common/types.h"
 #include "net/network.h"
 #include "net/reassembly.h"
+#include "sim/inline_fn.h"
 #include "sim/simulator.h"
 
 namespace lnic::proto {
@@ -90,6 +93,9 @@ struct RdmaQpStats {
 /// Active verb issuer; attaches its own node (the QP's endpoint).
 class RdmaQp {
  public:
+  /// Completion callback; inline storage fits the store's continuations.
+  using Completion = sim::InlineFn<32>;
+
   RdmaQp(sim::Simulator& sim, net::Network& network);
 
   NodeId node() const { return node_; }
@@ -98,12 +104,10 @@ class RdmaQp {
 
   /// One-sided read of `len` bytes at `addr`; `done` fires when the full
   /// completion has arrived at the QP.
-  void read(NodeId host, std::uint64_t addr, Bytes len,
-            std::function<void()> done);
+  void read(NodeId host, std::uint64_t addr, Bytes len, Completion done);
 
   /// One-sided write of `len` bytes to `addr`; `done` fires on the ack.
-  void write(NodeId host, std::uint64_t addr, Bytes len,
-             std::function<void()> done);
+  void write(NodeId host, std::uint64_t addr, Bytes len, Completion done);
 
  private:
   void handle_packet(const net::Packet& packet);
@@ -117,12 +121,8 @@ class RdmaQp {
   RequestId next_id_ = 1;
   Buffer::Ptr zeros_;
 
-  struct Pending {
-    std::function<void()> done;
-    std::uint32_t frags_expected = 1;
-    std::uint32_t frags_received = 0;
-  };
-  std::map<RequestId, Pending> pending_;
+  std::map<RequestId, Completion> pending_;
+  net::Reassembler reassembly_;  // multi-fragment READ completions
   RdmaQpStats stats_;
 };
 

@@ -1,11 +1,15 @@
 // Structural tests for the B+-tree backing the transactional store:
 // split/merge/underflow invariants, ordered iteration under random
-// interleaved insert/erase (cross-checked against std::map), and the
-// NIC-resident node cache (LRU, invalidation, capacity-0 baseline).
+// interleaved insert/erase (cross-checked against std::map), leaf reuse
+// under the shape_version() contract, and the NIC-resident node cache
+// (LRU, invalidation, capacity-0 baseline, and a differential check
+// against a list + hash-map reference LRU).
 #include <gtest/gtest.h>
 
+#include <list>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "kvstore/btree.h"
@@ -143,6 +147,85 @@ TEST(BTreeTest, DirtyAndFreedPagesAreReported) {
   expect_invariants(tree);
 }
 
+// Two trees fed the same puts and erases; `fast` reads and updates
+// through captured leaves (get_at/update_at) whenever shape_version()
+// says the capture still holds, `slow` always descends (get/put). They
+// must agree on every result, every dirty/freed page report and the
+// final contents.
+TEST(BTreeTest, LeafAccessAgreesWithDescentWhileShapeHolds) {
+  BPlusTree fast(BTreeConfig{4});
+  BPlusTree slow(BTreeConfig{4});
+  struct Capture {
+    Key key;
+    PageId leaf;
+    std::uint64_t version;
+  };
+  std::vector<Capture> captures;
+  Rng rng(2027);
+  int reused = 0, stale = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const Key k = rng.next_below(300);
+    const std::uint64_t before = fast.shape_version();
+    switch (rng.next_below(4)) {
+      case 0: {  // capture: lookups never move the version
+        std::vector<PageId> path;
+        const PageId leaf = fast.path_for(k, &path);
+        ASSERT_EQ(leaf, path.back());
+        fast.scan_path(k, 5, &path);
+        fast.scan(k, 5, nullptr);
+        EXPECT_EQ(fast.get(k, nullptr), fast.get_at(leaf, k, nullptr));
+        ASSERT_EQ(fast.shape_version(), before);
+        captures.push_back({k, leaf, before});
+        if (captures.size() > 8) captures.erase(captures.begin());
+        break;
+      }
+      case 1: {  // put: moves the version only when it inserts
+        const Value v = rng.next_u64();
+        const bool inserted = fast.put(k, v);
+        ASSERT_EQ(slow.put(k, v), inserted);
+        ASSERT_EQ(fast.shape_version(), before + (inserted ? 1 : 0));
+        break;
+      }
+      case 2: {  // erase: moves the version only when it removes
+        const bool erased = fast.erase(k);
+        ASSERT_EQ(slow.erase(k), erased);
+        ASSERT_EQ(fast.shape_version(), before + (erased ? 1 : 0));
+        break;
+      }
+      case 3: {  // reuse a capture, the way the store does
+        if (captures.empty()) break;
+        const Capture c = captures[rng.next_below(captures.size())];
+        if (c.version != before) {
+          ++stale;
+          break;
+        }
+        ++reused;
+        Value got = 0, want = 0;
+        ASSERT_EQ(fast.get_at(c.leaf, c.key, &got), slow.get(c.key, &want));
+        ASSERT_EQ(got, want);
+        const Value v = rng.next_u64();
+        if (fast.update_at(c.leaf, c.key, v)) {
+          ASSERT_FALSE(slow.put(c.key, v));  // an update, not an insert
+          EXPECT_EQ(fast.last_dirty(), std::vector<PageId>{c.leaf});
+          EXPECT_EQ(fast.last_dirty(), slow.last_dirty());
+          EXPECT_TRUE(fast.last_freed().empty());
+        } else {
+          ASSERT_FALSE(slow.contains(c.key));
+        }
+        ASSERT_EQ(fast.shape_version(), before);
+        break;
+      }
+    }
+  }
+  EXPECT_GT(reused, 100);
+  EXPECT_GT(stale, 100);
+  expect_invariants(fast);
+  std::vector<std::pair<Key, Value>> a, b;
+  fast.scan(0, fast.size() + 1, &a);
+  slow.scan(0, slow.size() + 1, &b);
+  EXPECT_EQ(a, b);
+}
+
 // ---------------------------------------------------------- NodeCache
 
 TEST(NodeCacheTest, HitMissAndLruEviction) {
@@ -177,6 +260,99 @@ TEST(NodeCacheTest, CapacityZeroIsHostBaseline) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_DOUBLE_EQ(cache.stats().hit_ratio(), 0.0);
+}
+
+// A list + hash-map LRU: the reference behaviour the index-array
+// NodeCache must reproduce operation for operation.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool access(PageId id) {
+    const auto it = map_.find(id);
+    if (it == map_.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    ++stats_.hits;
+    lru_.erase(it->second);
+    lru_.push_front(id);
+    it->second = lru_.begin();
+    return true;
+  }
+  void insert(PageId id) {
+    if (capacity_ == 0 || map_.count(id) != 0) return;
+    if (map_.size() >= capacity_) {
+      map_.erase(lru_.back());
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+    lru_.push_front(id);
+    map_.emplace(id, lru_.begin());
+  }
+  bool invalidate(PageId id) {
+    const auto it = map_.find(id);
+    if (it == map_.end()) return false;
+    lru_.erase(it->second);
+    map_.erase(it);
+    ++stats_.invalidations;
+    return true;
+  }
+  bool resident(PageId id) const { return map_.count(id) != 0; }
+  std::size_t size() const { return map_.size(); }
+  const NodeCacheStats& stats() const { return stats_; }
+
+ private:
+  std::size_t capacity_;
+  std::list<PageId> lru_;
+  std::unordered_map<PageId, std::list<PageId>::iterator> map_;
+  NodeCacheStats stats_;
+};
+
+TEST(NodeCacheTest, MatchesReferenceLru) {
+  for (const std::size_t capacity : {0, 1, 2, 7, 256}) {
+    NodeCache cache(capacity);
+    ReferenceLru ref(capacity);
+    Rng rng(capacity + 1);
+    const std::uint64_t pages = 2 * capacity + 8;
+    for (int step = 0; step < 30000; ++step) {
+      // Mostly a working set around the capacity; now and then a far
+      // page, so the index arrays grow mid-trace.
+      const PageId id = rng.next_bool(0.01)
+                            ? static_cast<PageId>(rng.next_below(5000))
+                            : static_cast<PageId>(rng.next_below(pages));
+      const std::uint64_t op = rng.next_below(10);
+      if (op < 6) {
+        const bool hit = cache.access(id);
+        ASSERT_EQ(hit, ref.access(id)) << "capacity " << capacity;
+        if (!hit) {  // the store's miss path: fetch, then install
+          cache.insert(id);
+          ref.insert(id);
+        }
+      } else if (op < 8) {
+        cache.insert(id);
+        ref.insert(id);
+      } else {
+        ASSERT_EQ(cache.invalidate(id), ref.invalidate(id));
+      }
+      ASSERT_EQ(cache.size(), ref.size());
+      if (step % 1000 == 0) {
+        for (PageId p = 0; p < 5000; ++p) {
+          ASSERT_EQ(cache.resident(p), ref.resident(p)) << "page " << p;
+        }
+      }
+    }
+    for (PageId p = 0; p < 5000; ++p) {
+      ASSERT_EQ(cache.resident(p), ref.resident(p)) << "page " << p;
+    }
+    EXPECT_EQ(cache.stats().hits, ref.stats().hits);
+    EXPECT_EQ(cache.stats().misses, ref.stats().misses);
+    EXPECT_EQ(cache.stats().evictions, ref.stats().evictions);
+    EXPECT_EQ(cache.stats().invalidations, ref.stats().invalidations);
+    if (capacity > 0) {
+      EXPECT_GT(cache.stats().evictions, 0u);
+    }
+  }
 }
 
 }  // namespace

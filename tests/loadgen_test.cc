@@ -126,6 +126,56 @@ TEST(Zipf, ZeroSkewIsUniform) {
   }
 }
 
+// The guide-table inverse CDF must return exactly std::lower_bound's
+// rank for every u, or seeded draws (and every bench built on them)
+// would shift.
+TEST(Zipf, RankOfMatchesLowerBoundExactly) {
+  for (const std::size_t n : {1, 2, 4, 1000, 65536}) {
+    for (const double s : {0.0, 0.99, 1.5}) {
+      // The CDF built independently, the way the selector documents it.
+      std::vector<double> cdf;
+      double total = 0.0;
+      for (std::size_t rank = 0; rank < n; ++rank) {
+        total += 1.0 / std::pow(static_cast<double>(rank + 1), s);
+        cdf.push_back(total);
+      }
+      for (double& c : cdf) c /= total;
+      cdf.back() = 1.0;
+      const auto expected = [&](double u) {
+        return static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+
+      const ZipfSelector zipf(n, s, 1);
+      std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+      for (const double c : cdf) {
+        probes.push_back(c);
+        probes.push_back(std::nextafter(c, 0.0));
+        probes.push_back(std::nextafter(c, 2.0));
+      }
+      Rng rng(n * 7 + static_cast<std::uint64_t>(s * 100));
+      for (int i = 0; i < 100000; ++i) probes.push_back(rng.next_double());
+
+      std::size_t mismatches = 0;
+      for (const double u : probes) {
+        if (zipf.rank_of(u) != expected(u) && ++mismatches == 1) {
+          ADD_FAILURE() << "n=" << n << " s=" << s << " u=" << u
+                        << ": rank_of " << zipf.rank_of(u)
+                        << ", lower_bound " << expected(u);
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+
+      // sample() is rank_of() over the selector's own seeded stream.
+      ZipfSelector sampler(n, s, 99);
+      Rng draws(99);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(sampler.sample(), expected(draws.next_double()));
+      }
+    }
+  }
+}
+
 TEST(PayloadDist, SamplesRespectShape) {
   Rng rng(17);
   const PayloadDist fixed = PayloadDist::fixed_size(128);

@@ -1,11 +1,13 @@
 // Tests for the weakly-consistent RPC client: completion, latency
 // accounting, retransmission under loss, failure after max retries, and
-// multi-fragment response reassembly.
+// multi-fragment response reassembly; and for the one-sided RDMA queue
+// pair's completion matching.
 #include <gtest/gtest.h>
 
 #include <optional>
 
 #include "net/network.h"
+#include "proto/rdma.h"
 #include "proto/rpc.h"
 #include "proto/wire.h"
 #include "sim/simulator.h"
@@ -458,6 +460,65 @@ TEST(RpcClient, InconsistentFragCountIgnored) {
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->payload, (std::vector<std::uint8_t>{1, 2}));
+}
+
+TEST(RdmaQp, ReadCompletesOnceFromHostMemory) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  HostMemoryNode host(sim, network);
+  RdmaQp qp(sim, network);
+  int small = 0, large = 0, acked = 0;
+  qp.read(host.node(), 0, 536, [&] { ++small; });
+  qp.read(host.node(), 0, 3 * net::kMaxPayload, [&] { ++large; });
+  qp.write(host.node(), 0, 2 * net::kMaxPayload, [&] { ++acked; });
+  sim.run();
+  EXPECT_EQ(small, 1);
+  EXPECT_EQ(large, 1);
+  EXPECT_EQ(acked, 1);
+  EXPECT_EQ(qp.inflight(), 0u);
+  EXPECT_EQ(host.stats().bytes_read, 536u + 3 * net::kMaxPayload);
+  EXPECT_EQ(host.stats().bytes_written, 2 * net::kMaxPayload);
+}
+
+TEST(RdmaQp, DuplicateFragmentCannotCompleteRead) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  net::Network* net_ptr = &network;
+  // A host that answers a read with a three-fragment completion whose
+  // fragment 0 arrives twice and fragment 1 only later. Counting received
+  // fragments against the expected count completed the read on the
+  // duplicate, with fragment 1 still missing.
+  NodeId host = network.attach(nullptr);
+  network.set_handler(host, [&, host](const net::Packet& p) {
+    if (p.kind != PacketKind::kRdmaWrite) return;
+    net::Packet frag;
+    frag.src = host;
+    frag.dst = p.src;
+    frag.kind = PacketKind::kRdmaEvent;
+    frag.lambda = p.lambda;
+    frag.lambda.frag_count = 3;
+    frag.lambda.frag_index = 0;
+    frag.payload = {1};
+    net_ptr->send(frag);
+    net_ptr->send(frag);  // duplicate
+    net::Packet frag2 = frag;
+    frag2.lambda.frag_index = 2;
+    frag2.payload = {3};
+    net_ptr->send(frag2);
+    net::Packet frag1 = frag;
+    frag1.lambda.frag_index = 1;
+    frag1.payload = {2};
+    sim.schedule(microseconds(100), [net_ptr, frag1] { net_ptr->send(frag1); });
+  });
+  RdmaQp qp(sim, network);
+  int completions = 0;
+  qp.read(host, 0, 3 * net::kMaxPayload, [&] { ++completions; });
+  sim.run_until(microseconds(50));
+  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(qp.inflight(), 1u);
+  sim.run();
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(qp.inflight(), 0u);
 }
 
 // Property: the adaptive transport keeps the completion guarantee under

@@ -1,8 +1,12 @@
 // Tests for 2PL transactions over the NIC-resident B+-tree store: lock
 // table semantics (NO_WAIT aborts, WAIT_DIE wound ordering), end-to-end
 // commit/abort behavior, the retry livelock bound, NIC cache coherence,
-// and the networked GET/SET/TXN wire path.
+// the networked GET/SET/TXN wire path, and reads and commits through a
+// leaf that another transaction's commit reshaped.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <tuple>
 
 #include "kvstore/txn.h"
 #include "kvstore/workload.h"
@@ -416,6 +420,103 @@ TEST(TxnStoreTest, NetworkedGetSetAndTxnWirePath) {
   ASSERT_TRUE(rig.store.tree().get(41, &v));
   EXPECT_EQ(v, 4101u);
 }
+
+// A kRmw captures its key's leaf when it charges its pages, reads
+// through it when the fetches finish and updates it at commit. Another
+// transaction's commit in between can split that leaf (an insert) or
+// merge or borrow it away (a remove) and move the key to another leaf.
+enum class Reshape { kSplit, kMerge, kBorrow };
+
+struct StaleCase {
+  Key victim;   // the kRmw's key
+  Key trigger;  // the other transaction's insert or remove
+};
+
+// Searches `tree` for a trigger whose insert (kSplit) or remove (kMerge,
+// kBorrow) reshapes as asked and moves the victim to a different leaf.
+std::optional<StaleCase> find_case(const BPlusTree& tree, Reshape kind,
+                                   Key limit) {
+  for (Key victim = 2; victim < limit; victim += 2) {
+    for (Key trigger = 1; trigger < limit; ++trigger) {
+      if (trigger == victim) continue;
+      BPlusTree probe = tree;
+      std::vector<PageId> path;
+      const PageId before = probe.path_for(victim, &path);
+      const std::size_t nodes = probe.node_count();
+      if (kind == Reshape::kSplit) {
+        if (!probe.put(trigger, 1) || probe.node_count() <= nodes) continue;
+      } else {
+        if (!probe.erase(trigger)) continue;
+        if (probe.last_freed().empty() != (kind == Reshape::kBorrow)) continue;
+      }
+      path.clear();
+      if (probe.path_for(victim, &path) != before) {
+        return StaleCase{victim, trigger};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+class StaleLeafTest
+    : public ::testing::TestWithParam<std::tuple<Reshape, bool>> {};
+
+TEST_P(StaleLeafTest, ReshapeBetweenChargeAndUseKeepsValuesRight) {
+  const auto [kind, during_commit] = GetParam();
+  TxnStoreConfig config;
+  config.btree.order = 4;
+  config.nic_cache_nodes = 0;  // every page a fetch: long page walks
+  StoreRig rig(config);
+  for (Key k = 0; k < 128; k += 2) rig.store.load(k, 1000 + k);
+  const std::optional<StaleCase> c = find_case(rig.store.tree(), kind, 128);
+  ASSERT_TRUE(c.has_value());
+
+  TxnRequest reshape;
+  reshape.ops.push_back({kind == Reshape::kSplit ? OpKind::kInsert
+                                                 : OpKind::kRemove,
+                         c->trigger, 7, 0});
+  TxnRequest rmw;
+  rmw.ops.push_back({OpKind::kRmw, c->victim, 5, 0});
+  std::optional<TxnResult> reshaped, updated;
+  auto run_reshape = [&] {
+    rig.store.execute(std::move(reshape),
+                      [&](const TxnResult& r) { reshaped = r; });
+  };
+  if (!during_commit) {
+    // The reshape's page walk runs just ahead of the RMW's, so its commit
+    // lands between the RMW's charge and its read.
+    run_reshape();
+    rig.store.execute(std::move(rmw), [&](const TxnResult& r) { updated = r; });
+  } else {
+    // The reshape commits after the RMW's read but while the RMW's long
+    // scan is still fetching pages: the buffered update's leaf is stale
+    // by commit time.
+    rmw.ops.push_back({OpKind::kScan, 0, 0, 40});
+    rig.store.execute(std::move(rmw), [&](const TxnResult& r) { updated = r; });
+    rig.sim.schedule(1, run_reshape);
+  }
+  rig.sim.run();
+
+  ASSERT_TRUE(reshaped.has_value() && updated.has_value());
+  EXPECT_EQ(reshaped->status, TxnStatus::kCommitted);
+  ASSERT_EQ(updated->status, TxnStatus::kCommitted);
+  if (!during_commit) {
+    EXPECT_EQ(updated->reads, 1u);
+    EXPECT_EQ(updated->read_xor, 1000 + c->victim);
+  }
+  Value v = 0;
+  ASSERT_TRUE(rig.store.tree().get(c->victim, &v));
+  EXPECT_EQ(v, 1000 + c->victim + 5);
+  EXPECT_EQ(rig.store.tree().contains(c->trigger), kind == Reshape::kSplit);
+  std::string why;
+  EXPECT_TRUE(rig.store.tree().check_invariants(&why)) << why;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Reshapes, StaleLeafTest,
+    ::testing::Combine(::testing::Values(Reshape::kSplit, Reshape::kMerge,
+                                         Reshape::kBorrow),
+                       ::testing::Bool()));
 
 // ------------------------------------------------------------ Workloads
 
