@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -187,6 +188,15 @@ void print_latency_row(const std::string& label, const Sampler& latencies) {
               label.c_str(), latencies.mean() / 1e6,
               latencies.median() / 1e6, latencies.p99() / 1e6,
               latencies.count());
+}
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const double median = n % 2 == 1
+                            ? samples[n / 2]
+                            : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
+  return {median, samples.front(), samples.back()};
 }
 
 // ---------------------------------------------------------- BenchSummary

@@ -121,6 +121,16 @@ void print_ecdf_ms(const std::string& label, const Sampler& latencies);
 /// Mean/median/p99 row in milliseconds.
 void print_latency_row(const std::string& label, const Sampler& latencies);
 
+/// Median, min and max of repeated wall-clock samples (benches report
+/// all three rather than one noisy sample).
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+/// `samples` must not be empty.
+Spread spread_of(std::vector<double> samples);
+
 /// Machine-readable results next to the human tables: collects named
 /// scalars and writes them as BENCH_<bench>.json in the working
 /// directory, so sweeps can diff runs without scraping stdout. Written

@@ -5,9 +5,13 @@
 // first run) and reports host nanoseconds per interpreted instruction
 // and instructions per second. Each lambda is timed --reps times; the
 // JSON records the median, min and max, next to the deterministic
-// per-invocation instruction and cycle counts, which tools/check_perf.py
-// checks exactly. KV lambdas yield once per invocation and are resumed
-// with a fixed reply, so the suspend/resume path is inside the timing.
+// per-invocation instruction and cycle counts and a hash of the response
+// bytes of one more run after the timed ones, all of which
+// tools/check_perf.py checks exactly: a host-side shortcut (such as the
+// interpreter's hash memo) must not change what the lambda returns or
+// what it costs in simulated cycles. KV lambdas yield once per
+// invocation and are resumed with a fixed reply, so the suspend/resume
+// path is inside the timing.
 //
 // Uses only the interpreter's long-standing public API (Machine over a
 // Program), so the same source times older interpreters too.
@@ -45,7 +49,29 @@ struct Timing {
   std::vector<double> ns_per_instr;  // one per rep
   std::uint64_t instructions = 0;    // per invocation (deterministic)
   std::uint64_t cycles = 0;          // per invocation (deterministic)
+  std::uint32_t response_fnv = 0;    // see response_fnv()
 };
+
+// FNV-1a of the response bytes, xor-folded to 29 bits so that the JSON's
+// 9 significant digits hold it exactly.
+std::uint32_t response_fnv(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return static_cast<std::uint32_t>((h ^ (h >> 29) ^ (h >> 58)) &
+                                    0x1FFFFFFFu);
+}
+
+microc::Outcome run_to_completion(microc::Machine& machine,
+                                  const microc::Invocation& inv) {
+  microc::Outcome out = machine.run(inv);
+  while (out.state == microc::RunState::kYield) {
+    out = machine.resume(out.ext.key + 1);
+  }
+  return out;
+}
 
 Timing time_lambda(const microc::Program& program, const Lambda& lambda,
                    std::uint64_t invocations, int reps) {
@@ -63,10 +89,7 @@ Timing time_lambda(const microc::Program& program, const Lambda& lambda,
     std::uint64_t cycles = 0;
     const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < invocations; ++i) {
-      microc::Outcome out = machine.run(inv);
-      while (out.state == microc::RunState::kYield) {
-        out = machine.resume(out.ext.key + 1);
-      }
+      const microc::Outcome out = run_to_completion(machine, inv);
       instructions += out.instructions;
       cycles += out.cycles;
     }
@@ -76,13 +99,8 @@ Timing time_lambda(const microc::Program& program, const Lambda& lambda,
     timing.instructions = instructions / invocations;
     timing.cycles = cycles / invocations;
   }
+  timing.response_fnv = response_fnv(run_to_completion(machine, inv).response);
   return timing;
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 int run(std::uint64_t invocations, int reps) {
@@ -111,19 +129,20 @@ int run(std::uint64_t invocations, int reps) {
               "ns/instr", "(min)", "(max)", "Minstr/s");
   for (const Lambda& lambda : lambdas) {
     const Timing t = time_lambda(program, lambda, invocations, reps);
-    const auto [lo, hi] =
-        std::minmax_element(t.ns_per_instr.begin(), t.ns_per_instr.end());
-    const double mid = median(t.ns_per_instr);
+    const Spread ns = spread_of(t.ns_per_instr);
+    const double mid = ns.median;
     std::printf("  %-18s %10llu %10.3f %10.3f %12.3f %10.1f\n", lambda.name,
-                static_cast<unsigned long long>(t.instructions), mid, *lo, *hi,
-                1e3 / mid);
+                static_cast<unsigned long long>(t.instructions), mid, ns.min,
+                ns.max, 1e3 / mid);
     const std::string key = lambda.name;
     out.add(key + "_instructions", static_cast<double>(t.instructions),
             "instr");
     out.add(key + "_cycles", static_cast<double>(t.cycles), "cycles");
+    out.add(key + "_response_fnv", static_cast<double>(t.response_fnv),
+            "hash");
     out.add(key + "_ns_per_instr", mid, "ns");
-    out.add(key + "_ns_per_instr_min", *lo, "ns");
-    out.add(key + "_ns_per_instr_max", *hi, "ns");
+    out.add(key + "_ns_per_instr_min", ns.min, "ns");
+    out.add(key + "_ns_per_instr_max", ns.max, "ns");
     out.add(key + "_instr_per_sec", 1e9 / mid, "instr/s");
   }
   return 0;

@@ -3,8 +3,9 @@
 // The tracing layer is bookkeeping outside simulated time, so its
 // simulated latency overhead must be exactly zero — the same closed-loop
 // run with tracing off and on must produce bit-identical latency
-// samples. This bench asserts that, and reports the one-shot JSON export
-// time. The wall-clock recording cost per request (span allocation,
+// samples. This bench asserts that, and reports the JSON export time
+// (median, min and max of kWallReps exports of the same recorder). The
+// wall-clock recording cost per request (span allocation,
 // annotation strings) is the benchmark's `trace.overhead_frac`
 // (lnicbench/README.md), measured from rescaled medians of repeated
 // runs; a single wall sample here swung from -2% to 64% across reruns.
@@ -12,7 +13,8 @@
 // Four rows: tracing off, sampled (1/16 of requests), full (every
 // request), and full plus the NPU-grid profiler. All four must agree on
 // every simulated statistic. Two more sections cover the rest of the
-// observability plane: the flight recorder's per-record wall cost, and
+// observability plane: the flight recorder's per-record wall cost (also
+// the median, min and max of kWallReps runs), and
 // a 2-shard rerun asserting that shard stall accounting neither
 // perturbs the simulation nor breaks its busy+barrier+sync == wall
 // identity.
@@ -29,6 +31,9 @@ using namespace lnic::bench;
 
 namespace {
 
+// Repetitions behind each wall-clock figure.
+constexpr int kWallReps = 5;
+
 struct RunResult {
   std::uint64_t count = 0;
   double mean_ns = 0.0;
@@ -36,7 +41,7 @@ struct RunResult {
   double p99_ns = 0.0;
   std::uint64_t completed = 0;
   std::size_t spans = 0;
-  double export_ms = 0.0;  // one-shot Chrome JSON serialization
+  Spread export_ms;  // Chrome JSON serialization of the whole recorder
 };
 
 RunResult run(double sample_rate, std::uint64_t total,
@@ -88,16 +93,19 @@ RunResult run(double sample_rate, std::uint64_t total,
   result.completed = w0->completed() + w1->completed();
   result.spans = recorder.size();
   if (sample_rate > 0.0) {
-    // The one-shot JSON serialization is what an exporting run pays on
-    // top of recording; timed separately so per-request and end-of-run
-    // costs are not conflated.
-    const auto export_start = std::chrono::steady_clock::now();
-    volatile std::size_t sink = recorder.to_chrome_json().size();
-    (void)sink;
-    result.export_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - export_start)
-            .count();
+    // The JSON serialization is what an exporting run pays on top of
+    // recording; timed separately so per-request and end-of-run costs
+    // are not conflated.
+    std::vector<double> export_ms;
+    for (int rep = 0; rep < kWallReps; ++rep) {
+      const auto export_start = std::chrono::steady_clock::now();
+      volatile std::size_t sink = recorder.to_chrome_json().size();
+      (void)sink;
+      export_ms.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - export_start)
+                              .count());
+    }
+    result.export_ms = spread_of(std::move(export_ms));
   }
   return result;
 }
@@ -108,29 +116,35 @@ bool identical(const RunResult& a, const RunResult& b) {
          a.completed == b.completed;
 }
 
-/// Wall cost of one flight-recorder append, measured on a private ring
-/// (the global one stays reserved for real anomalies). Also checks the
-/// ring honors its bound under sustained overflow.
+/// Wall cost of one flight-recorder append, measured on a fresh private
+/// ring per repetition (the global one stays reserved for real
+/// anomalies). Also checks every ring honors its bound under sustained
+/// overflow.
 struct FlightrecCost {
-  double ns_per_record = 0.0;
-  bool bounded = false;
+  Spread ns_per_record;
+  bool bounded = true;
 };
 
 FlightrecCost measure_flightrec(std::uint64_t records) {
-  flightrec::FlightRecorder ring;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < records; ++i) {
-    ring.record(static_cast<SimTime>(i), flightrec::Kind::kOther, i, i >> 1,
-                "synthetic anomaly");
-  }
-  const double ns = std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
   FlightrecCost cost;
-  cost.ns_per_record = records > 0 ? ns / static_cast<double>(records) : 0.0;
-  cost.bounded = ring.snapshot().size() <= ring.capacity() &&
-                 ring.recorded() == records &&
-                 ring.evicted() == records - ring.capacity();
+  std::vector<double> ns_per_record;
+  for (int rep = 0; rep < kWallReps; ++rep) {
+    flightrec::FlightRecorder ring;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < records; ++i) {
+      ring.record(static_cast<SimTime>(i), flightrec::Kind::kOther, i, i >> 1,
+                  "synthetic anomaly");
+    }
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    ns_per_record.push_back(ns / static_cast<double>(records));
+    cost.bounded = cost.bounded &&
+                   ring.snapshot().size() <= ring.capacity() &&
+                   ring.recorded() == records &&
+                   ring.evicted() == records - ring.capacity();
+  }
+  cost.ns_per_record = spread_of(std::move(ns_per_record));
   return cost;
 }
 
@@ -192,12 +206,14 @@ int main() {
   const RunResult full = run(1.0, kTotal, kSenders);
   const RunResult profiled = run(1.0, kTotal, kSenders, /*profile=*/true);
 
-  std::printf("\n  %-16s %10s %12s %12s %9s %11s\n", "tracing",
-              "requests", "p50 (us)", "p99 (us)", "spans", "export (ms)");
+  std::printf("\n  %-16s %10s %12s %12s %9s %11s %7s %7s\n", "tracing",
+              "requests", "p50 (us)", "p99 (us)", "spans", "export (ms)",
+              "(min)", "(max)");
   const auto row = [](const char* label, const RunResult& r) {
-    std::printf("  %-16s %10llu %12.2f %12.2f %9zu %11.1f\n", label,
-                static_cast<unsigned long long>(r.count), r.p50_ns / 1e3,
-                r.p99_ns / 1e3, r.spans, r.export_ms);
+    std::printf("  %-16s %10llu %12.2f %12.2f %9zu %11.1f %7.1f %7.1f\n",
+                label, static_cast<unsigned long long>(r.count),
+                r.p50_ns / 1e3, r.p99_ns / 1e3, r.spans, r.export_ms.median,
+                r.export_ms.min, r.export_ms.max);
   };
   row("off", off);
   row("sampled 1/16", sampled);
@@ -225,12 +241,15 @@ int main() {
   // -- flight recorder: per-record wall cost, ring stays bounded --------
   constexpr std::uint64_t kFlightrecRecords = 1'000'000;
   const FlightrecCost fr = measure_flightrec(kFlightrecRecords);
-  std::printf("\n  flight recorder: %.0f ns/record over %llu appends, "
-              "ring bounded: %s\n",
-              fr.ns_per_record,
+  std::printf("\n  flight recorder: %.0f ns/record (min %.0f, max %.0f) "
+              "over %d x %llu appends, ring bounded: %s\n",
+              fr.ns_per_record.median, fr.ns_per_record.min,
+              fr.ns_per_record.max, kWallReps,
               static_cast<unsigned long long>(kFlightrecRecords),
               fr.bounded ? "yes" : "NO");
-  summary.add("flightrec_ns_per_record", fr.ns_per_record, "ns");
+  summary.add("flightrec_ns_per_record", fr.ns_per_record.median, "ns");
+  summary.add("flightrec_ns_per_record_min", fr.ns_per_record.min, "ns");
+  summary.add("flightrec_ns_per_record_max", fr.ns_per_record.max, "ns");
   summary.add("flightrec_bounded", fr.bounded ? 1.0 : 0.0, "bool");
 
   // -- shard stall accounting: no perturbation, sums to wall -----------

@@ -52,6 +52,11 @@ const char* backend_kind_label(std::uint8_t kind) {
     default: return "unknown";
   }
 }
+
+/// Index of a backend kind's label in FnMetrics::rpc_latency.
+std::size_t backend_kind_slot(std::uint8_t kind) {
+  return std::min<std::size_t>(kind, 3);
+}
 }  // namespace
 
 Gateway::Gateway(sim::Simulator& sim, net::Network& network,
@@ -84,6 +89,11 @@ TenantId Gateway::register_tenant(const std::string& name) {
   const TenantId id = next_tenant_++;
   tenant_ids_[name] = id;
   tenant_names_[id] = name;
+  // A route may already carry this id under its "tenant-<id>" label.
+  for (auto& [fn, metrics] : fn_metrics_) {
+    (void)fn;
+    metrics = FnMetrics{metrics.route, metrics.tenant};
+  }
   return id;
 }
 
@@ -151,9 +161,18 @@ bool Gateway::sample_trace() {
   return false;
 }
 
+Gateway::FnMetrics& Gateway::fn_metrics(const std::string& name,
+                                        const Route& route) {
+  FnMetrics& metrics = fn_metrics_[name];
+  metrics.route = &route;
+  metrics.refresh();
+  return metrics;
+}
+
 void Gateway::invoke(const std::string& name, net::BufferView payload,
                      InvokeCallback callback) {
-  if (!has_function(name) || routes_[name].workers.empty()) {
+  const auto route_it = routes_.find(name);
+  if (route_it == routes_.end() || route_it->second.workers.empty()) {
     metrics_.counter("gateway_unroutable_total").increment();
     if (callback) callback(make_error("gateway: no route for '" + name + "'"));
     return;
@@ -165,7 +184,13 @@ void Gateway::invoke(const std::string& name, net::BufferView payload,
     }
     return;
   }
-  metrics_.counter("gateway_requests_total", metric_labels(name)).increment();
+  const Route& route = route_it->second;
+  FnMetrics& fn = fn_metrics(name, route);
+  if (fn.requests == nullptr) {
+    fn.requests = &metrics_.counter("gateway_requests_total",
+                                    metric_labels(name));
+  }
+  fn.requests->increment();
 
   trace::SpanContext ctx;
   if (sample_trace()) {
@@ -173,9 +198,8 @@ void Gateway::invoke(const std::string& name, net::BufferView payload,
     const trace::SpanId root = tracer_->start_span(
         ctx.trace, trace::kInvalidSpan, "request", sim_.now());
     tracer_->annotate(root, "fn", name);
-    if (const Route* r = route(name); r != nullptr &&
-                                      r->tenant != kDefaultTenant) {
-      tracer_->annotate(root, "tenant", tenant_label(r->tenant));
+    if (route.tenant != kDefaultTenant) {
+      tracer_->annotate(root, "tenant", tenant_label(route.tenant));
     }
     ctx.parent = root;
     // The root span closes when the caller's callback fires, whatever
@@ -413,8 +437,8 @@ void Gateway::send_to_worker(const std::string& name,
   }
   const Route& route = it->second;
   const NodeId worker = pick_worker(name, route);
-  metrics_.sampler("rpc_rto_ns").add(
-      static_cast<double>(rpc_.current_rto(worker)));
+  if (rpc_rto_ == nullptr) rpc_rto_ = &metrics_.sampler("rpc_rto_ns");
+  rpc_rto_->add(static_cast<double>(rpc_.current_rto(worker)));
   std::uint8_t kind = kUnknownBackendKind;
   for (const auto& replica : route.replicas) {
     if (replica.node == worker) {
@@ -425,21 +449,28 @@ void Gateway::send_to_worker(const std::string& name,
 
   // Retained for failover to a replica: a view, not a byte copy.
   net::BufferView retry_copy = payload;
+  FnMetrics* fn = &fn_metrics(name, route);
   rpc_.call(worker, route.workload, std::move(payload),
-            [this, name, worker, kind, started, attempts_left, ctx,
+            [this, name, fn, worker, kind, started, attempts_left, ctx,
              retry_copy = std::move(retry_copy),
              callback = std::move(callback)](
                 Result<proto::RpcResponse> result) mutable {
               if (result.ok()) {
-                const auto elapsed =
-                    static_cast<double>(sim_.now() - started);
-                metrics_.sampler("gateway_latency_ns", {{"fn", name}})
-                    .add(elapsed);
-                Labels rpc_labels = metric_labels(name);
-                rpc_labels.emplace_back("backend",
-                                        backend_kind_label(kind));
-                metrics_.histogram("rpc_latency_ns", rpc_labels)
-                    .observe(static_cast<double>(result.value().latency));
+                fn->refresh();
+                if (fn->latency == nullptr) {
+                  fn->latency =
+                      &metrics_.sampler("gateway_latency_ns", {{"fn", name}});
+                }
+                fn->latency->add(static_cast<double>(sim_.now() - started));
+                Histogram*& rpc_latency =
+                    fn->rpc_latency[backend_kind_slot(kind)];
+                if (rpc_latency == nullptr) {
+                  Labels labels = metric_labels(name);
+                  labels.emplace_back("backend", backend_kind_label(kind));
+                  rpc_latency = &metrics_.histogram("rpc_latency_ns", labels);
+                }
+                rpc_latency->observe(
+                    static_cast<double>(result.value().latency));
                 if (callback) callback(std::move(result));
                 return;
               }

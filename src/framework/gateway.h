@@ -16,6 +16,7 @@
 //    recovery (or when the cooldown lapses).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -211,7 +212,30 @@ class Gateway {
     std::deque<Queued> queue;
   };
 
+  /// Handles to one function's per-request series. Each is filled by
+  /// the first request that writes its series, so no series is exported
+  /// earlier than without the cache. The registry never moves or drops
+  /// a series, so the pointers stay valid; routes are replaced in place
+  /// and never erased, so `route` does too.
+  struct FnMetrics {
+    const Route* route = nullptr;
+    /// Tenant the labels were resolved for; the handles are dropped when
+    /// the route's tenant differs (see refresh()).
+    TenantId tenant = kDefaultTenant;
+    Counter* requests = nullptr;  // gateway_requests_total
+    Sampler* latency = nullptr;   // gateway_latency_ns
+    /// rpc_latency_ns by backend kind: nic, baremetal, container, unknown.
+    std::array<Histogram*, 4> rpc_latency{};
+
+    /// Drops the handles if the route moved to another tenant.
+    void refresh() {
+      if (route->tenant != tenant) *this = FnMetrics{route, route->tenant};
+    }
+  };
+
   void apply_route_key(const std::string& key, const std::string& value);
+  /// `name`'s metric handles, bound to its current `route`.
+  FnMetrics& fn_metrics(const std::string& name, const Route& route);
   bool admit(const std::string& name);  // token-bucket check
   /// Deterministic sampling decision for one request (no RNG draw).
   bool sample_trace();
@@ -249,6 +273,8 @@ class Gateway {
   TenantId next_tenant_ = 1;
   std::uint64_t next_queued_id_ = 1;
   MetricsRegistry metrics_;
+  std::map<std::string, FnMetrics> fn_metrics_;
+  Sampler* rpc_rto_ = nullptr;  // rpc_rto_ns, filled by the first send
 };
 
 }  // namespace lnic::framework

@@ -48,18 +48,16 @@ Sampler& MetricsRegistry::sampler(const std::string& name,
   return samplers_[series_key(name, labels)];
 }
 
+// try_emplace builds the Histogram (and its bounds) only on insert.
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels) {
-  return histograms_
-      .try_emplace(series_key(name, labels), Histogram())
-      .first->second;
+  return histograms_.try_emplace(series_key(name, labels)).first->second;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels,
                                       std::vector<double> bounds) {
-  return histograms_
-      .try_emplace(series_key(name, labels), Histogram(std::move(bounds)))
+  return histograms_.try_emplace(series_key(name, labels), std::move(bounds))
       .first->second;
 }
 

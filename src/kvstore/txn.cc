@@ -176,9 +176,19 @@ std::vector<std::uint8_t> TxnStore::encode_txn(const TxnRequest& request) {
 
 void TxnStore::handle_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kKvRequest) return;
-  // Requests are single-packet by construction (the largest TXN bodies
-  // are a few hundred bytes, well under kMaxPayload).
-  if (packet.lambda.frag_count > 1) return;
+  if (packet.lambda.frag_count > 1) {
+    // A TXN body over one packet (74 or more ops): a complete message
+    // runs once; a fragment that repeats an index it holds is dropped.
+    if (auto message = reassembly_.add(packet, sim_.now())) {
+      message->first.payload = std::move(message->body);
+      handle_request(message->first);
+    }
+    return;
+  }
+  handle_request(packet);
+}
+
+void TxnStore::handle_request(const Packet& packet) {
   const net::BufferView& body = packet.payload;
 
   TxnState state;

@@ -39,6 +39,7 @@
 #include "common/types.h"
 #include "kvstore/btree.h"
 #include "net/network.h"
+#include "net/reassembly.h"
 #include "proto/rdma.h"
 #include "proto/wire.h"
 #include "sim/simulator.h"
@@ -235,6 +236,8 @@ class TxnStore {
   };
 
   void handle_packet(const net::Packet& packet);
+  /// Runs one whole request; `packet.payload` is its full body.
+  void handle_request(const net::Packet& packet);
   void submit(TxnState state);
   void start_attempt(TxnId id);
   void step_op(TxnId id);
@@ -260,6 +263,7 @@ class TxnStore {
   LockTable locks_;
   proto::HostMemoryNode host_;
   proto::RdmaQp qp_;
+  net::Reassembler reassembly_;  // multi-packet TXN requests
   NodeId node_;
   TxnId next_txn_ = 1;
   std::uint64_t next_seq_ = 0;

@@ -115,21 +115,41 @@ void ObjectStore::reset(const Executable& image) {
 }
 
 void ObjectStore::allocate(const std::vector<MemObject>& objects) {
-  data_.assign(objects.size(), {});
+  objects_.clear();
+  objects_.resize(objects.size());
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const MemObject& obj = objects[i];
     if (obj.scope == MemScope::kGlobal) {
-      data_[i].assign(obj.size, 0);
+      std::vector<std::uint8_t>& bytes = objects_[i].bytes;
+      bytes.assign(obj.size, 0);
       const auto n = std::min<std::size_t>(obj.initial_data.size(), obj.size);
-      if (n > 0) std::memcpy(data_[i].data(), obj.initial_data.data(), n);
+      if (n > 0) std::memcpy(bytes.data(), obj.initial_data.data(), n);
     }
   }
 }
 
 Bytes ObjectStore::total_bytes() const {
   Bytes total = 0;
-  for (const auto& d : data_) total += d.size();
+  for (const Object& object : objects_) total += object.bytes.size();
   return total;
+}
+
+std::uint64_t ObjectStore::Object::hash(std::uint64_t offset,
+                                        std::uint64_t len) {
+  if (!memo) memo = std::make_unique<HashMemo>();
+  HashMemo& m = *memo;
+  for (std::uint8_t i = 0; i < m.count; ++i) {
+    const HashMemo::Entry& e = m.entries[i];
+    if (e.offset == offset && e.len == len) return e.value;
+  }
+  const std::uint64_t value = fnv1a(bytes.data() + offset, len);
+  if (m.count < HashMemo::kEntries) {
+    m.entries[m.count++] = {offset, len, value};
+  } else {
+    m.entries[m.next] = {offset, len, value};
+    m.next = static_cast<std::uint8_t>((m.next + 1) % HashMemo::kEntries);
+  }
+  return value;
 }
 
 namespace {
@@ -246,6 +266,8 @@ void Executable::decode(std::size_t index) {
             (static_cast<std::uint64_t>(fall) << 32) | taken);
       } else if (in.op == Opcode::kMemCpy || in.op == Opcode::kGrayscale) {
         imm = in.obj2;
+      } else if (in.op == Opcode::kHash) {
+        imm = objects_[in.obj].scope == MemScope::kGlobal ? 1 : 0;
       }
       std::uint32_t cost = base[static_cast<std::uint8_t>(in.op)];
       if (in.op == Opcode::kLoad) cost += read_cost(in.obj);
@@ -330,9 +352,10 @@ Outcome Machine::run_function(std::size_t function_index,
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const MemObject& obj = objects[i];
     if (obj.scope != MemScope::kLocal) continue;
-    locals_[i].assign(obj.size, 0);
+    std::vector<std::uint8_t>& bytes = locals_[i].bytes;
+    bytes.assign(obj.size, 0);
     const auto n = std::min<std::size_t>(obj.initial_data.size(), obj.size);
-    if (n > 0) std::memcpy(locals_[i].data(), obj.initial_data.data(), n);
+    if (n > 0) std::memcpy(bytes.data(), obj.initial_data.data(), n);
     objs_[i] = &locals_[i];
   }
   bind_globals();
@@ -346,8 +369,9 @@ void Machine::bind_globals() {
   const std::vector<MemObject>& objects = image_->objects_;
   for (std::size_t i = 0; i < objects.size(); ++i) {
     if (objects[i].scope != MemScope::kGlobal) continue;
-    objs_[i] = globals_ != nullptr && i < globals_->size() ? &globals_->data(i)
-                                                           : nullptr;
+    objs_[i] = globals_ != nullptr && i < globals_->size()
+                   ? &globals_->objects_[i]
+                   : nullptr;
   }
 }
 
@@ -567,22 +591,23 @@ op_loadmatch: {
 }
 
 op_load: {
-  const std::vector<std::uint8_t>* bytes = objs_[ip->obj];
+  const ObjectStore::Object* object = objs_[ip->obj];
   const std::uint64_t off = LNIC_A + static_cast<std::uint64_t>(ip->imm);
-  if (bytes == nullptr || !fits(off, ip->width, bytes->size())) {
+  if (object == nullptr || !fits(off, ip->width, object->bytes.size())) {
     LNIC_TRAP(out_of_bounds("load from", image.objects_[ip->obj], off));
   }
-  acc = load_bytes(bytes->data() + off, ip->width);
+  acc = load_bytes(object->bytes.data() + off, ip->width);
   regs[ip->dst] = acc;
   LNIC_NEXT();
 }
 op_store: {
-  std::vector<std::uint8_t>* bytes = objs_[ip->obj];
+  ObjectStore::Object* object = objs_[ip->obj];
   const std::uint64_t off = LNIC_A + static_cast<std::uint64_t>(ip->imm);
-  if (bytes == nullptr || !fits(off, ip->width, bytes->size())) {
+  if (object == nullptr || !fits(off, ip->width, object->bytes.size())) {
     LNIC_TRAP(out_of_bounds("store to", image.objects_[ip->obj], off));
   }
-  store_bytes(bytes->data() + off, ip->width, LNIC_B);
+  store_bytes(object->bytes.data() + off, ip->width, LNIC_B);
+  object->written();
   LNIC_NEXT();
 }
 
@@ -600,15 +625,15 @@ op_respword: {
 }
 
 op_respmem: {
-  const std::vector<std::uint8_t>* bytes = objs_[ip->obj];
+  const ObjectStore::Object* object = objs_[ip->obj];
   const std::uint64_t off = regs[ip->a];
   const std::uint64_t len = regs[ip->b];
-  if (bytes == nullptr || !fits(off, len, bytes->size())) {
+  if (object == nullptr || !fits(off, len, object->bytes.size())) {
     LNIC_TRAP("response copy out of bounds");
   }
   if (response_.size() + len > kMaxResponse) LNIC_TRAP("response too large");
-  response_.insert(response_.end(), bytes->data() + off,
-                   bytes->data() + off + len);
+  const std::uint8_t* bytes = object->bytes.data() + off;
+  response_.insert(response_.end(), bytes, bytes + len);
   const std::uint64_t words = (len + 7) / 8;
   bulk_cycles_ +=
       words * image.read_cost(ip->obj) / image.cost_.bulk_divisor + words;
@@ -619,16 +644,17 @@ op_respmem: {
 // offset (these ops write memory, not a register).
 op_memcpy: {
   const auto src_obj = static_cast<std::size_t>(ip->imm);
-  std::vector<std::uint8_t>* dst = objs_[ip->obj];
-  const std::vector<std::uint8_t>* src = objs_[src_obj];
+  ObjectStore::Object* dst = objs_[ip->obj];
+  const ObjectStore::Object* src = objs_[src_obj];
   const std::uint64_t doff = regs[ip->dst];
   const std::uint64_t soff = regs[ip->a];
   const std::uint64_t len = regs[ip->b];
-  if (dst == nullptr || src == nullptr || !fits(doff, len, dst->size()) ||
-      !fits(soff, len, src->size())) {
+  if (dst == nullptr || src == nullptr || !fits(doff, len, dst->bytes.size()) ||
+      !fits(soff, len, src->bytes.size())) {
     LNIC_TRAP("memcpy out of bounds");
   }
-  std::memmove(dst->data() + doff, src->data() + soff, len);
+  std::memmove(dst->bytes.data() + doff, src->bytes.data() + soff, len);
+  dst->written();
   const std::uint64_t words = (len + 7) / 8;
   bulk_cycles_ +=
       words * (image.read_cost(src_obj) + image.write_cost(ip->obj)) /
@@ -640,20 +666,24 @@ op_grayscale: {
   // RGBA8888 -> 8-bit luma with integer weights (no FPU, §3.1b):
   // y = (77 R + 150 G + 29 B) >> 8.
   const auto src_obj = static_cast<std::size_t>(ip->imm);
-  std::vector<std::uint8_t>* dst = objs_[ip->obj];
-  const std::vector<std::uint8_t>* src = objs_[src_obj];
+  ObjectStore::Object* dst = objs_[ip->obj];
+  const ObjectStore::Object* src = objs_[src_obj];
   const std::uint64_t doff = regs[ip->dst];
   const std::uint64_t soff = regs[ip->a];
   const std::uint64_t pixels = regs[ip->b];
-  if (dst == nullptr || src == nullptr || soff > src->size() ||
-      pixels > (src->size() - soff) / 4 || !fits(doff, pixels, dst->size())) {
+  if (dst == nullptr || src == nullptr || soff > src->bytes.size() ||
+      pixels > (src->bytes.size() - soff) / 4 ||
+      !fits(doff, pixels, dst->bytes.size())) {
     LNIC_TRAP("grayscale out of bounds");
   }
+  const std::uint8_t* in = src->bytes.data() + soff;
+  std::uint8_t* out = dst->bytes.data() + doff;
   for (std::uint64_t i = 0; i < pixels; ++i) {
-    const std::uint8_t* p = src->data() + soff + i * 4;
-    (*dst)[doff + i] = static_cast<std::uint8_t>(
+    const std::uint8_t* p = in + i * 4;
+    out[i] = static_cast<std::uint8_t>(
         (77u * p[0] + 150u * p[1] + 29u * p[2]) >> 8);
   }
+  dst->written();
   bulk_cycles_ +=
       pixels * (image.read_cost(src_obj) + image.write_cost(ip->obj)) /
           image.cost_.bulk_divisor +
@@ -661,13 +691,15 @@ op_grayscale: {
   LNIC_NEXT();
 }
 op_hash: {
-  const std::vector<std::uint8_t>* bytes = objs_[ip->obj];
+  ObjectStore::Object* object = objs_[ip->obj];
   const std::uint64_t off = regs[ip->a];
   const std::uint64_t len = regs[ip->b];
-  if (bytes == nullptr || !fits(off, len, bytes->size())) {
+  if (object == nullptr || !fits(off, len, object->bytes.size())) {
     LNIC_TRAP("hash out of bounds");
   }
-  acc = fnv1a(bytes->data() + off, len);
+  // The simulated cost below is the same for a memo hit.
+  acc = ip->imm != 0 ? object->hash(off, len)
+                     : fnv1a(object->bytes.data() + off, len);
   regs[ip->dst] = acc;
   const std::uint64_t words = (len + 7) / 8;
   bulk_cycles_ +=
@@ -675,15 +707,16 @@ op_hash: {
   LNIC_NEXT();
 }
 op_bodycopy: {
-  std::vector<std::uint8_t>* dst = objs_[ip->obj];
+  ObjectStore::Object* dst = objs_[ip->obj];
   const std::uint64_t doff = regs[ip->dst];
   const std::uint64_t boff = regs[ip->a];
   const std::uint64_t len = regs[ip->b];
   if (dst == nullptr || !fits(boff, len, inv.body.size()) ||
-      !fits(doff, len, dst->size())) {
+      !fits(doff, len, dst->bytes.size())) {
     LNIC_TRAP("body copy out of bounds");
   }
-  std::memcpy(dst->data() + doff, inv.body.data() + boff, len);
+  std::memcpy(dst->bytes.data() + doff, inv.body.data() + boff, len);
+  dst->written();
   const std::uint64_t words = (len + 7) / 8;
   bulk_cycles_ +=
       words * (image.cost_.body_cycles / 4 + image.write_cost(ip->obj)) /

@@ -113,6 +113,16 @@ class Executable;
 /// the store after changing the program). Bare-Program Machines over
 /// that program and store share one lazily lowered image through it, so
 /// constructing a Machine per invocation lowers each function once.
+///
+/// Hash memo. A global object remembers up to 8 (offset, length) ranges
+/// that `hash` read and the FNV-1a value it got, so a read-mostly object
+/// (the web server's pages) is hashed once, not per request. The memo is
+/// allocated the first time the object is hashed and dropped by reset().
+/// Every interpreter write into the object (store, memcpy, grayscale,
+/// body_copy) empties it, and nothing else can write: the store hands
+/// out its bytes read-only. Local objects are never memoized. A hit
+/// only saves host time: the Machine charges the op's simulated cycles
+/// exactly as for a miss.
 class ObjectStore {
  public:
   ObjectStore() = default;
@@ -120,21 +130,44 @@ class ObjectStore {
   void reset(const Program& program);
   /// Sizes the store for a built image's objects; binds no Program.
   void reset(const Executable& image);
-  std::size_t size() const { return data_.size(); }
-  std::vector<std::uint8_t>& data(std::size_t object_index) {
-    return data_[object_index];
-  }
+  std::size_t size() const { return objects_.size(); }
   const std::vector<std::uint8_t>& data(std::size_t object_index) const {
-    return data_[object_index];
+    return objects_[object_index].bytes;
   }
   Bytes total_bytes() const;
 
  private:
   friend class Machine;
 
+  struct HashMemo {
+    struct Entry {
+      std::uint64_t offset = 0;
+      std::uint64_t len = 0;
+      std::uint64_t value = 0;
+    };
+    static constexpr std::uint8_t kEntries = 8;
+    std::array<Entry, kEntries> entries;
+    std::uint8_t count = 0;
+    std::uint8_t next = 0;  // entry replaced next once all are in use
+  };
+
+  /// One object's bytes and, for a hashed global object, its memo.
+  struct Object {
+    std::vector<std::uint8_t> bytes;
+    std::unique_ptr<HashMemo> memo;
+
+    /// FNV-1a of bytes [offset, offset + len), which must be in bounds,
+    /// answered from the memo when it holds the range.
+    std::uint64_t hash(std::uint64_t offset, std::uint64_t len);
+    /// Empties the memo; every interpreter write calls it.
+    void written() {
+      if (memo) memo->count = 0;
+    }
+  };
+
   void allocate(const std::vector<MemObject>& objects);
 
-  std::vector<std::vector<std::uint8_t>> data_;
+  std::vector<Object> objects_;
   const Program* program_ = nullptr;
   std::shared_ptr<Executable> image_;  // lowered program_, by cost model
 };
@@ -183,7 +216,9 @@ class Executable {
     std::uint32_t cost = 0;
     /// Immediate. kBr: relative target; kBrIf: relative taken target in
     /// the low and fall-through in the high 32 bits; kMemCpy/kGrayscale:
-    /// the source object; kEnter: the scalar cost of its segment.
+    /// the source object; kHash: 1 when the object is global (its store
+    /// memoizes the result), else 0; kEnter: the scalar cost of its
+    /// segment.
     std::int64_t imm = 0;
   };
   static constexpr std::uint8_t kEnter =
@@ -282,7 +317,8 @@ class Machine {
   bool enter(std::uint32_t fn, std::uint32_t base, std::uint16_t ret_dst);
   /// Settles the counters when the op at `ip` traps mid-segment.
   void unwind_segment(const Op* ip, bool stepping);
-  /// Points the global objects' entries of objs_ at the store.
+  /// Points the global objects' entries of objs_ (bytes and hash memo)
+  /// at the store.
   void bind_globals();
   Outcome trap(std::string message);
   Outcome finish(std::uint64_t return_value);
@@ -294,8 +330,8 @@ class Machine {
 
   // Invocation state.
   const Invocation* invocation_ = nullptr;
-  std::vector<std::vector<std::uint8_t>> locals_;  // per local-scope object
-  std::vector<std::vector<std::uint8_t>*> objs_;   // backing per object
+  std::vector<ObjectStore::Object> locals_;  // per local-scope object
+  std::vector<ObjectStore::Object*> objs_;   // backing per object
   std::vector<Frame> frames_;
   std::vector<std::uint64_t> regs_;  // register stack, frames_ slice it
   std::vector<std::uint8_t> response_;

@@ -1,9 +1,13 @@
-// Tests for the framework layer: gateway routing/metrics, route
-// encoding, etcd synchronization, manager deployment records, metrics
-// rendering, storage, and the autoscaler control loop.
+// Tests for the framework layer: gateway routing/metrics (the export
+// pinned by tests/golden/gateway_metrics.txt), route encoding, etcd
+// synchronization, manager deployment records, metrics rendering,
+// storage, and the autoscaler control loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <optional>
+#include <sstream>
 
 #include "backends/backend.h"
 #include "framework/autoscaler.h"
@@ -897,6 +901,76 @@ struct EchoPair {
     }
   }
 };
+
+// The gateway caches its per-function metric handles. Its Prometheus
+// export must stay exactly what resolving every series per request gave:
+// tests/golden/gateway_metrics.txt was recorded before the cache.
+// Functions over two backend kinds, limiter queueing and shedding, one
+// function moving to a tenant after its first requests completed and
+// while its second wave is on the wire (each wave spends 20 us in the
+// proxy stage and ~3.8 us on a round trip to an echo worker), and one
+// whose tenant label changes when a name is registered for its id.
+TEST(Gateway, MetricsExportMatchesGolden) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  EchoPair workers(sim, network);
+  GatewayConfig config;
+  config.max_inflight_per_function = 3;
+  config.max_queue_depth = 4;
+  Gateway gateway(sim, network, config);
+  const std::vector<Replica> alpha = {Replica{workers.node[0], 1, 0},
+                                      Replica{workers.node[1], 1, 1}};
+  const std::vector<Replica> beta = {Replica{workers.node[1], 2, 1},
+                                     Replica{workers.node[0], 1, 0}};
+  const TenantId acme = gateway.register_tenant("acme");
+  gateway.register_replicas("alpha", 1, alpha);
+  gateway.register_replicas("beta", 2, beta);
+  // Tenant id 2 has no name yet: its label reads "tenant-2".
+  gateway.register_replicas("gamma", 3, alpha, /*tenant=*/2);
+  int ok = 0;
+  int failed = 0;
+  const auto burst = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      for (const char* fn : {"alpha", "beta", "gamma"}) {
+        gateway.invoke(fn, {}, [&](Result<proto::RpcResponse> r) {
+          ++(r.ok() ? ok : failed);
+        });
+      }
+    }
+  };
+  burst(8);
+  sim.run_until(microseconds(45));
+  gateway.register_replicas("beta", 2, beta, acme);
+  sim.run();
+  EXPECT_EQ(gateway.register_tenant("globex"), 2u);
+  burst(5);
+  sim.run();
+  EXPECT_EQ(ok + failed, 39);
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(failed, 0);  // the 4-deep queues shed part of each burst
+
+  std::vector<std::string> actual;
+  std::istringstream text(gateway.metrics().render());
+  for (std::string line; std::getline(text, line);) actual.push_back(line);
+  std::ifstream in(LNIC_GATEWAY_GOLDEN_PATH);
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < std::max(actual.size(), expected.size()); ++i) {
+    const std::string got = i < actual.size() ? actual[i] : "<missing>";
+    const std::string want = i < expected.size() ? expected[i] : "<missing>";
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "line " << i + 1 << "\n  expected: " << want
+                    << "\n  actual:   " << got;
+    }
+  }
+  if (mismatches > 0) {
+    std::ofstream dump("gateway_metrics.actual.txt");
+    for (const auto& line : actual) dump << line << "\n";
+    FAIL() << mismatches
+           << " lines differ; the export is in gateway_metrics.actual.txt";
+  }
+}
 
 TEST(Gateway, QuarantinedWorkerIsSkippedAndReinstated) {
   sim::Simulator sim;

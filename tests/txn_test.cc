@@ -1,8 +1,9 @@
 // Tests for 2PL transactions over the NIC-resident B+-tree store: lock
 // table semantics (NO_WAIT aborts, WAIT_DIE wound ordering), end-to-end
 // commit/abort behavior, the retry livelock bound, NIC cache coherence,
-// the networked GET/SET/TXN wire path, and reads and commits through a
-// leaf that another transaction's commit reshaped.
+// the networked GET/SET/TXN wire path (multi-packet TXNs included), and
+// reads and commits through a leaf that another transaction's commit
+// reshaped.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -419,6 +420,85 @@ TEST(TxnStoreTest, NetworkedGetSetAndTxnWirePath) {
   Value v = 0;
   ASSERT_TRUE(rig.store.tree().get(41, &v));
   EXPECT_EQ(v, 4101u);
+}
+
+// A client on the store's network that sends TXN bodies through
+// net::fragment and collects the replies.
+struct TxnClient {
+  StoreRig& rig;
+  std::vector<Packet> replies;
+  NodeId node;
+
+  explicit TxnClient(StoreRig& r)
+      : rig(r),
+        node(r.network.attach(
+            [this](const Packet& p) {
+              if (p.kind == PacketKind::kKvResponse) replies.push_back(p);
+            },
+            &r.sim)) {}
+
+  std::vector<Packet> fragments(const TxnRequest& txn, RequestId token) {
+    net::LambdaHeader header;
+    header.workload_id = TxnStore::kOpTxn;
+    header.request_id = token;
+    return net::fragment(node, rig.store.node(), PacketKind::kKvRequest,
+                         header, TxnStore::encode_txn(txn));
+  }
+};
+
+// n kRmw increments of keys 0..n-1.
+TxnRequest increments(std::size_t n) {
+  TxnRequest txn;
+  for (std::size_t i = 0; i < n; ++i) {
+    txn.ops.push_back({OpKind::kRmw, i, 1, 0});
+  }
+  return txn;
+}
+
+TEST(TxnStoreTest, MultiPacketTxnGetsExactlyOneReply) {
+  // 2 + 19 bytes per op: 73 ops fit one 1400-byte packet, 74 do not.
+  for (const std::size_t n : {73u, 74u, 80u}) {
+    SCOPED_TRACE(n);
+    StoreRig rig;
+    for (Key k = 0; k < n; ++k) rig.store.load(k, 100);
+    TxnClient client(rig);
+    std::vector<Packet> frags = client.fragments(increments(n), 9);
+    EXPECT_EQ(frags.size(), n < 74 ? 1u : 2u);
+    for (Packet& p : frags) rig.network.send(std::move(p));
+    rig.sim.run();
+
+    ASSERT_EQ(client.replies.size(), 1u);
+    const Packet& reply = client.replies.front();
+    EXPECT_EQ(reply.lambda.request_id, 9u);
+    ASSERT_EQ(reply.payload.size(), 12u);
+    EXPECT_EQ(reply.payload[0],
+              static_cast<std::uint8_t>(TxnStatus::kCommitted));
+    EXPECT_EQ(proto::load_le<std::uint16_t>(reply.payload, 2), n);
+    EXPECT_EQ(rig.store.stats().txns, 1u);
+    Value v = 0;
+    ASSERT_TRUE(rig.store.tree().get(n - 1, &v));
+    EXPECT_EQ(v, 101u);
+  }
+}
+
+TEST(TxnStoreTest, DuplicatedFragmentDoesNotRunATxnTwice) {
+  StoreRig rig;
+  for (Key k = 0; k < 80; ++k) rig.store.load(k, 100);
+  TxnClient client(rig);
+  const std::vector<Packet> frags = client.fragments(increments(80), 4);
+  ASSERT_EQ(frags.size(), 2u);
+  // A repeat before completion, and one after it.
+  for (const std::size_t i : {0u, 0u, 1u, 1u}) rig.network.send(frags[i]);
+  rig.sim.run();
+
+  EXPECT_EQ(client.replies.size(), 1u);
+  EXPECT_EQ(rig.store.stats().txns, 1u);
+  EXPECT_EQ(rig.store.stats().commits, 1u);
+  for (Key k = 0; k < 80; ++k) {
+    Value v = 0;
+    ASSERT_TRUE(rig.store.tree().get(k, &v));
+    EXPECT_EQ(v, 101u) << "key " << k;
+  }
 }
 
 // A kRmw captures its key's leaf when it charges its pages, reads

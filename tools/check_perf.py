@@ -30,10 +30,12 @@ name/value/unit) and bench-specific invariants:
   (busy/barrier/sync wall components + lookahead utilization), and
   busy + barrier + sync must reconstruct the total wall time within 1%.
 - perf_interp: every standard lambda present; its per-invocation
-  instruction count equals the recorded one exactly (the interpreter's
-  cost model is the paper's contract, so any drift is a semantic
-  change, not noise); ns/instruction min <= median <= max and under a
-  loose order-of-magnitude ceiling.
+  instruction count, simulated cycles and response-bytes hash equal the
+  recorded ones exactly (the interpreter's cost model is the paper's
+  contract, so any drift is a semantic change, not noise; a host-side
+  shortcut such as the hash memo must move none of them);
+  ns/instruction min <= median <= max and under a loose
+  order-of-magnitude ceiling.
 - supp_multitenant: per-tenant SLO rows present for every scenario; the
   noisy-neighbor victim's shared-card p99 within 1.25x its isolated
   baseline while the aggressor oversubscribes its DRR weight share by
@@ -393,12 +395,26 @@ def check_kv_txn(doc):
 
 
 # Instructions per invocation of each standard lambda on the request
-# perf_interp sends (web page 1, GET 0xABCDEF, SET 42=99, 64x64 image).
+# perf_interp sends (web page 1, GET 0xABCDEF, SET 42=99, 64x64 image),
+# its simulated NPU cycles, and perf_interp's 29-bit FNV-1a of the
+# response bytes.
 INTERP_INSTRUCTIONS = {
     "web_server": 2000,
     "kv_client_get": 2365,
     "kv_client_set": 2367,
     "image_transformer": 1547,
+}
+INTERP_CYCLES = {
+    "web_server": 7212,
+    "kv_client_get": 2459,
+    "kv_client_set": 2461,
+    "image_transformer": 318766,
+}
+INTERP_RESPONSE_FNV = {
+    "web_server": 197685910,
+    "kv_client_get": 146836373,
+    "kv_client_set": 131585567,
+    "image_transformer": 271107373,
 }
 # ~10x above a slow shared VM: catches an accidental per-instruction
 # allocation or lookup, not machine-to-machine noise.
@@ -413,14 +429,17 @@ INTERP_CEILING_NS = {
 def check_interp(doc):
     got = metrics_by_name(doc)
     for name, expected in INTERP_INSTRUCTIONS.items():
-        for suffix in ("_instructions", "_cycles", "_ns_per_instr",
-                       "_ns_per_instr_min", "_ns_per_instr_max",
-                       "_instr_per_sec"):
+        for suffix in ("_instructions", "_cycles", "_response_fnv",
+                       "_ns_per_instr", "_ns_per_instr_min",
+                       "_ns_per_instr_max", "_instr_per_sec"):
             if name + suffix not in got:
                 fail(f"perf_interp missing metric '{name + suffix}'")
-        if got[f"{name}_instructions"] != expected:
-            fail(f"{name}_instructions = {got[f'{name}_instructions']:.0f}, "
-                 f"expected exactly {expected}")
+        for suffix, want in (("_instructions", expected),
+                             ("_cycles", INTERP_CYCLES[name]),
+                             ("_response_fnv", INTERP_RESPONSE_FNV[name])):
+            if got[name + suffix] != want:
+                fail(f"{name}{suffix} = {got[name + suffix]:.0f}, "
+                     f"expected exactly {want}")
         lo = got[f"{name}_ns_per_instr_min"]
         mid = got[f"{name}_ns_per_instr"]
         hi = got[f"{name}_ns_per_instr_max"]
