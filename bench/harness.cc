@@ -242,18 +242,20 @@ void BenchSummary::write() {
                static_cast<unsigned long long>(seed_), shards_);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
+    // Integers that a double holds exactly print in full (a 32-bit hash
+    // or a ns total would lose digits to 9 significant ones).
+    char value[40] = "null";
     if (std::isfinite(e.value)) {
-      std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.9g, "
-                   "\"unit\": \"%s\"}%s\n",
-                   json_escape(e.metric).c_str(), e.value,
-                   json_escape(e.unit).c_str(),
-                   i + 1 < entries_.size() ? "," : "");
-    } else {
-      std::fprintf(f, "    {\"name\": \"%s\", \"value\": null, "
-                   "\"unit\": \"%s\"}%s\n",
-                   json_escape(e.metric).c_str(), json_escape(e.unit).c_str(),
-                   i + 1 < entries_.size() ? "," : "");
+      const bool exact_integer = e.value == std::trunc(e.value) &&
+                                 std::fabs(e.value) < 0x1p53;
+      std::snprintf(value, sizeof value, exact_integer ? "%.0f" : "%.9g",
+                    e.value);
     }
+    std::fprintf(f, "    {\"name\": \"%s\", \"value\": %s, "
+                 "\"unit\": \"%s\"}%s\n",
+                 json_escape(e.metric).c_str(), value,
+                 json_escape(e.unit).c_str(),
+                 i + 1 < entries_.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/hash.h"
 #include "compiler/pipeline.h"
 #include "microc/interp.h"
 #include "proto/invocation.h"
@@ -52,14 +53,10 @@ struct Timing {
   std::uint32_t response_fnv = 0;    // see response_fnv()
 };
 
-// FNV-1a of the response bytes, xor-folded to 29 bits so that the JSON's
-// 9 significant digits hold it exactly.
+// FNV-1a of the response bytes, xor-folded to 29 bits (the width of the
+// values tools/check_perf.py records).
 std::uint32_t response_fnv(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
+  const std::uint64_t h = fnv1a(bytes.data(), bytes.size());
   return static_cast<std::uint32_t>((h ^ (h >> 29) ^ (h >> 58)) &
                                     0x1FFFFFFFu);
 }

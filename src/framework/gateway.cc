@@ -15,19 +15,36 @@ std::uint64_t Route::total_weight() const {
   return total;
 }
 
+std::vector<NodeId> Route::workers() const {
+  std::vector<NodeId> nodes;
+  nodes.reserve(replicas.size());
+  for (const auto& replica : replicas) nodes.push_back(replica.node);
+  return nodes;
+}
+
 namespace {
 /// Maps a round-robin cursor onto the weighted replica set: replica i
 /// owns `weight_i` consecutive slots of the cycle. With every weight at 1
-/// this is exactly `workers[cursor % workers.size()]`.
+/// this is exactly `replicas[cursor % replicas.size()]`.
 NodeId weighted_pick(const Route& route, std::size_t cursor) {
   const std::uint64_t total = route.total_weight();
-  if (total == 0) return route.workers[cursor % route.workers.size()];
+  if (total == 0) return route.replicas[cursor % route.replicas.size()].node;
   std::uint64_t slot = cursor % total;
   for (const auto& replica : route.replicas) {
     if (slot < replica.weight) return replica.node;
     slot -= replica.weight;
   }
   return route.replicas.back().node;
+}
+
+/// Weight-1 replicas of unknown backend kind: a plain worker list.
+std::vector<Replica> plain_replicas(const std::vector<NodeId>& workers) {
+  std::vector<Replica> replicas;
+  replicas.reserve(workers.size());
+  for (NodeId node : workers) {
+    replicas.push_back(Replica{node, 1, kUnknownBackendKind});
+  }
+  return replicas;
 }
 
 /// Strict non-negative integer parse: the whole token must be digits
@@ -53,7 +70,7 @@ const char* backend_kind_label(std::uint8_t kind) {
   }
 }
 
-/// Index of a backend kind's label in FnMetrics::rpc_latency.
+/// Index of a backend kind's label in MetricHandles::rpc_latency.
 std::size_t backend_kind_slot(std::uint8_t kind) {
   return std::min<std::size_t>(kind, 3);
 }
@@ -65,22 +82,24 @@ Gateway::Gateway(sim::Simulator& sim, net::Network& network,
 
 void Gateway::register_function(const std::string& name, WorkloadId workload,
                                 std::vector<NodeId> workers) {
-  std::vector<Replica> replicas;
-  replicas.reserve(workers.size());
-  for (NodeId node : workers) replicas.push_back(Replica{node, 1,
-                                                         kUnknownBackendKind});
-  routes_[name] = Route{workload, kDefaultTenant, std::move(workers),
-                        std::move(replicas)};
+  set_route(name, Route{workload, kDefaultTenant, plain_replicas(workers)});
 }
 
 void Gateway::register_replicas(const std::string& name, WorkloadId workload,
                                 std::vector<Replica> replicas,
                                 TenantId tenant) {
-  std::vector<NodeId> workers;
-  workers.reserve(replicas.size());
-  for (const auto& replica : replicas) workers.push_back(replica.node);
-  routes_[name] = Route{workload, tenant, std::move(workers),
-                        std::move(replicas)};
+  set_route(name, Route{workload, tenant, std::move(replicas)});
+}
+
+Gateway::Function& Gateway::function(const std::string& name) {
+  return functions_.try_emplace(name, name).first->second;
+}
+
+void Gateway::set_route(const std::string& name, Route route) {
+  Function& fn = function(name);
+  // The handles carry the old tenant's labels.
+  if (fn.route && fn.route->tenant != route.tenant) fn.metrics = {};
+  fn.route = std::move(route);
 }
 
 TenantId Gateway::register_tenant(const std::string& name) {
@@ -90,10 +109,7 @@ TenantId Gateway::register_tenant(const std::string& name) {
   tenant_ids_[name] = id;
   tenant_names_[id] = name;
   // A route may already carry this id under its "tenant-<id>" label.
-  for (auto& [fn, metrics] : fn_metrics_) {
-    (void)fn;
-    metrics = FnMetrics{metrics.route, metrics.tenant};
-  }
+  for (auto& entry : functions_) entry.second.metrics = {};
   return id;
 }
 
@@ -110,19 +126,12 @@ Labels Gateway::metric_labels(const std::string& name) const {
 }
 
 void Gateway::set_rate_limit(const std::string& name, RateLimit limit) {
-  Bucket bucket;
-  bucket.limit = limit;
-  bucket.tokens = limit.burst;
-  bucket.refilled_at = sim_.now();
-  buckets_[name] = bucket;
+  function(name).bucket = Bucket{limit, limit.burst, sim_.now()};
 }
 
-bool Gateway::admit(const std::string& name) {
-  const auto it = buckets_.find(name);
-  if (it == buckets_.end() || it->second.limit.requests_per_second <= 0.0) {
-    return true;
-  }
-  Bucket& b = it->second;
+bool Gateway::admit(Function& fn) {
+  Bucket& b = fn.bucket;
+  if (b.limit.requests_per_second <= 0.0) return true;
   const double elapsed = to_sec(sim_.now() - b.refilled_at);
   b.tokens = std::min(b.limit.burst,
                       b.tokens + elapsed * b.limit.requests_per_second);
@@ -133,13 +142,16 @@ bool Gateway::admit(const std::string& name) {
 }
 
 void Gateway::add_worker(const std::string& name, NodeId worker) {
-  routes_[name].workers.push_back(worker);
-  routes_[name].replicas.push_back(Replica{worker, 1, kUnknownBackendKind});
+  const Route* current = route(name);
+  Route next = current != nullptr ? *current : Route{};
+  next.replicas.push_back(Replica{worker, 1, kUnknownBackendKind});
+  set_route(name, std::move(next));
 }
 
 const Route* Gateway::route(const std::string& name) const {
-  const auto it = routes_.find(name);
-  return it == routes_.end() ? nullptr : &it->second;
+  const auto it = functions_.find(name);
+  if (it == functions_.end() || !it->second.route) return nullptr;
+  return &*it->second.route;
 }
 
 void Gateway::set_tracer(trace::TraceRecorder* tracer, double sample_rate) {
@@ -161,36 +173,28 @@ bool Gateway::sample_trace() {
   return false;
 }
 
-Gateway::FnMetrics& Gateway::fn_metrics(const std::string& name,
-                                        const Route& route) {
-  FnMetrics& metrics = fn_metrics_[name];
-  metrics.route = &route;
-  metrics.refresh();
-  return metrics;
-}
-
 void Gateway::invoke(const std::string& name, net::BufferView payload,
                      InvokeCallback callback) {
-  const auto route_it = routes_.find(name);
-  if (route_it == routes_.end() || route_it->second.workers.empty()) {
+  const auto it = functions_.find(name);
+  if (it == functions_.end() || !it->second.route ||
+      it->second.route->replicas.empty()) {
     metrics_.counter("gateway_unroutable_total").increment();
     if (callback) callback(make_error("gateway: no route for '" + name + "'"));
     return;
   }
-  if (!admit(name)) {
+  Function& fn = it->second;
+  if (!admit(fn)) {
     metrics_.counter("gateway_throttled_total", {{"fn", name}}).increment();
     if (callback) {
       callback(make_error("gateway: '" + name + "' throttled by rate limit"));
     }
     return;
   }
-  const Route& route = route_it->second;
-  FnMetrics& fn = fn_metrics(name, route);
-  if (fn.requests == nullptr) {
-    fn.requests = &metrics_.counter("gateway_requests_total",
-                                    metric_labels(name));
+  if (fn.metrics.requests == nullptr) {
+    fn.metrics.requests = &metrics_.counter("gateway_requests_total",
+                                            metric_labels(name));
   }
-  fn.requests->increment();
+  fn.metrics.requests->increment();
 
   trace::SpanContext ctx;
   if (sample_trace()) {
@@ -198,8 +202,8 @@ void Gateway::invoke(const std::string& name, net::BufferView payload,
     const trace::SpanId root = tracer_->start_span(
         ctx.trace, trace::kInvalidSpan, "request", sim_.now());
     tracer_->annotate(root, "fn", name);
-    if (route.tenant != kDefaultTenant) {
-      tracer_->annotate(root, "tenant", tenant_label(route.tenant));
+    if (fn.route->tenant != kDefaultTenant) {
+      tracer_->annotate(root, "tenant", tenant_label(fn.route->tenant));
     }
     ctx.parent = root;
     // The root span closes when the caller's callback fires, whatever
@@ -216,41 +220,33 @@ void Gateway::invoke(const std::string& name, net::BufferView payload,
   }
 
   if (config_.max_inflight_per_function == 0) {
-    dispatch(name, std::move(payload), std::move(callback),
+    dispatch(fn, std::move(payload), std::move(callback),
              config_.failover_attempts, ctx);
     return;
   }
-  submit(name, std::move(payload), std::move(callback), ctx);
+  submit(fn, std::move(payload), std::move(callback), ctx);
 }
 
-void Gateway::shed(const std::string& name, InvokeCallback& callback,
+void Gateway::shed(const Function& fn, InvokeCallback& callback,
                    const char* reason) {
-  metrics_.counter("gateway_shed_total", {{"fn", name}}).increment();
+  metrics_.counter("gateway_shed_total", {{"fn", fn.name}}).increment();
   flightrec::FlightRecorder::global().record(
       sim_.now(), flightrec::Kind::kGatewayShed,
-      "'" + name + "' " + reason);
+      "'" + fn.name + "' " + reason);
   if (callback) {
-    callback(make_error("gateway: '" + name + "' overloaded (" +
+    callback(make_error("gateway: '" + fn.name + "' overloaded (" +
                         std::string(reason) + ")"));
   }
 }
 
-void Gateway::submit(const std::string& name, net::BufferView payload,
+void Gateway::submit(Function& fn, net::BufferView payload,
                      InvokeCallback callback, trace::SpanContext ctx) {
-  FnLoad& load = load_[name];
-  if (load.inflight < config_.max_inflight_per_function) {
-    ++load.inflight;
-    InvokeCallback done = [this, name, callback = std::move(callback)](
-                              Result<proto::RpcResponse> result) mutable {
-      on_complete(name);
-      if (callback) callback(std::move(result));
-    };
-    dispatch(name, std::move(payload), std::move(done),
-             config_.failover_attempts, ctx);
+  if (fn.inflight < config_.max_inflight_per_function) {
+    start(fn, std::move(payload), std::move(callback), ctx);
     return;
   }
-  if (load.queue.size() >= config_.max_queue_depth) {
-    shed(name, callback, "queue full");
+  if (fn.queue.size() >= config_.max_queue_depth) {
+    shed(fn, callback, "queue full");
     return;
   }
   Queued queued;
@@ -264,72 +260,69 @@ void Gateway::submit(const std::string& name, net::BufferView payload,
                                             "gateway.queue", sim_.now());
   }
   const std::uint64_t qid = queued.id;
-  load.queue.push_back(std::move(queued));
-  metrics_.sampler("gateway_queue_depth", {{"fn", name}})
-      .add(static_cast<double>(load.queue.size()));
+  fn.queue.push_back(std::move(queued));
+  metrics_.sampler("gateway_queue_depth", {{"fn", fn.name}})
+      .add(static_cast<double>(fn.queue.size()));
   // Deadline-based shedding: a queued request that cannot start in time
   // fails fast instead of waiting for capacity that may never free up.
   sim_.schedule(config_.queue_deadline,
-                [this, name, qid] { expire_queued(name, qid); });
+                [this, fn = &fn, qid] { expire_queued(*fn, qid); });
 }
 
-void Gateway::expire_queued(const std::string& name, std::uint64_t queued_id) {
-  const auto it = load_.find(name);
-  if (it == load_.end()) return;
-  auto& queue = it->second.queue;
-  const auto pos = std::find_if(queue.begin(), queue.end(),
+void Gateway::start(Function& fn, net::BufferView payload,
+                    InvokeCallback callback, trace::SpanContext ctx) {
+  ++fn.inflight;
+  InvokeCallback done = [this, fn = &fn, callback = std::move(callback)](
+                            Result<proto::RpcResponse> result) mutable {
+    on_complete(*fn);
+    if (callback) callback(std::move(result));
+  };
+  dispatch(fn, std::move(payload), std::move(done), config_.failover_attempts,
+           ctx);
+}
+
+void Gateway::shed_stale(const Function& fn, Queued& queued) {
+  if (queued.queue_span != trace::kInvalidSpan) {
+    tracer_->annotate(queued.queue_span, "shed", "deadline exceeded");
+    tracer_->end_span(queued.queue_span, sim_.now());
+  }
+  shed(fn, queued.callback, "deadline exceeded");
+}
+
+void Gateway::expire_queued(Function& fn, std::uint64_t queued_id) {
+  const auto pos = std::find_if(fn.queue.begin(), fn.queue.end(),
                                 [queued_id](const Queued& q) {
                                   return q.id == queued_id;
                                 });
-  if (pos == queue.end()) return;  // already dispatched or shed
-  InvokeCallback callback = std::move(pos->callback);
-  if (pos->queue_span != trace::kInvalidSpan) {
-    tracer_->annotate(pos->queue_span, "shed", "deadline exceeded");
-    tracer_->end_span(pos->queue_span, sim_.now());
-  }
-  queue.erase(pos);
-  shed(name, callback, "deadline exceeded");
+  if (pos == fn.queue.end()) return;  // already dispatched or shed
+  Queued stale = std::move(*pos);
+  fn.queue.erase(pos);
+  shed_stale(fn, stale);
 }
 
-void Gateway::on_complete(const std::string& name) {
-  FnLoad& load = load_[name];
-  if (load.inflight > 0) --load.inflight;
-  while (load.inflight < config_.max_inflight_per_function &&
-         !load.queue.empty()) {
-    Queued next = std::move(load.queue.front());
-    load.queue.pop_front();
+void Gateway::on_complete(Function& fn) {
+  if (fn.inflight > 0) --fn.inflight;
+  while (fn.inflight < config_.max_inflight_per_function &&
+         !fn.queue.empty()) {
+    Queued next = std::move(fn.queue.front());
+    fn.queue.pop_front();
     if (sim_.now() - next.enqueued_at > config_.queue_deadline) {
-      if (next.queue_span != trace::kInvalidSpan) {
-        tracer_->annotate(next.queue_span, "shed", "deadline exceeded");
-        tracer_->end_span(next.queue_span, sim_.now());
-      }
-      shed(name, next.callback, "deadline exceeded");
+      shed_stale(fn, next);
       continue;
     }
     if (next.queue_span != trace::kInvalidSpan) {
       tracer_->end_span(next.queue_span, sim_.now());
     }
-    ++load.inflight;
-    InvokeCallback done = [this, name, callback = std::move(next.callback)](
-                              Result<proto::RpcResponse> result) mutable {
-      on_complete(name);
-      if (callback) callback(std::move(result));
-    };
-    dispatch(name, std::move(next.payload), std::move(done),
-             config_.failover_attempts, next.ctx);
+    start(fn, std::move(next.payload), std::move(next.callback), next.ctx);
   }
 }
 
 void Gateway::remove_worker(NodeId worker) {
-  for (auto& [name, route] : routes_) {
+  for (auto& [name, fn] : functions_) {
     (void)name;
-    route.workers.erase(
-        std::remove(route.workers.begin(), route.workers.end(), worker),
-        route.workers.end());
-    route.replicas.erase(
-        std::remove_if(route.replicas.begin(), route.replicas.end(),
-                       [worker](const Replica& r) { return r.node == worker; }),
-        route.replicas.end());
+    if (!fn.route) continue;
+    std::erase_if(fn.route->replicas,
+                  [worker](const Replica& r) { return r.node == worker; });
   }
   reinstate_worker(worker);  // drop any stale quarantine entry
 }
@@ -378,8 +371,9 @@ std::size_t Gateway::quarantined_count() const {
   return n;
 }
 
-NodeId Gateway::pick_worker(const std::string& name, const Route& route) {
-  const std::size_t cursor = rr_cursor_[name]++;
+NodeId Gateway::pick_worker(Function& fn) {
+  const Route& route = *fn.route;
+  const std::size_t cursor = fn.rr_cursor++;
   std::uint64_t healthy_weight = 0;
   for (const auto& replica : route.replicas) {
     if (!is_quarantined(replica.node)) healthy_weight += replica.weight;
@@ -396,7 +390,7 @@ NodeId Gateway::pick_worker(const std::string& name, const Route& route) {
   return route.replicas.back().node;
 }
 
-void Gateway::dispatch(const std::string& name, net::BufferView payload,
+void Gateway::dispatch(Function& fn, net::BufferView payload,
                        InvokeCallback callback, std::uint32_t attempts_left,
                        trace::SpanContext ctx) {
   const SimTime started = sim_.now();
@@ -406,37 +400,35 @@ void Gateway::dispatch(const std::string& name, net::BufferView payload,
                                      sim_.now());
   }
   // Proxy/NAT lookup happens before the request leaves the gateway; the
-  // route is re-resolved *after* the lookup so an etcd update landing
-  // during proxy_overhead is honored instead of sending to a stale copy.
+  // route is read *after* the lookup so an etcd update landing during
+  // proxy_overhead is honored instead of sending to a stale copy.
   sim_.schedule(config_.proxy_overhead,
-                [this, name, started, attempts_left, ctx, proxy_span,
+                [this, fn = &fn, started, attempts_left, ctx, proxy_span,
                  payload = std::move(payload),
                  callback = std::move(callback)]() mutable {
                   if (proxy_span != trace::kInvalidSpan) {
                     tracer_->end_span(proxy_span, sim_.now());
                   }
-                  send_to_worker(name, std::move(payload),
+                  send_to_worker(*fn, std::move(payload),
                                  std::move(callback), attempts_left, started,
                                  ctx);
                 });
 }
 
-void Gateway::send_to_worker(const std::string& name,
-                             net::BufferView payload,
+void Gateway::send_to_worker(Function& fn, net::BufferView payload,
                              InvokeCallback callback,
                              std::uint32_t attempts_left, SimTime started,
                              trace::SpanContext ctx) {
-  const auto it = routes_.find(name);
-  if (it == routes_.end() || it->second.workers.empty()) {
-    // The route vanished while the request was in the proxy stage.
+  if (fn.route->replicas.empty()) {
+    // The route lost its workers while the request was in the proxy stage.
     metrics_.counter("gateway_unroutable_total").increment();
     if (callback) {
-      callback(make_error("gateway: no workers for '" + name + "'"));
+      callback(make_error("gateway: no workers for '" + fn.name + "'"));
     }
     return;
   }
-  const Route& route = it->second;
-  const NodeId worker = pick_worker(name, route);
+  const Route& route = *fn.route;
+  const NodeId worker = pick_worker(fn);
   if (rpc_rto_ == nullptr) rpc_rto_ = &metrics_.sampler("rpc_rto_ns");
   rpc_rto_->add(static_cast<double>(rpc_.current_rto(worker)));
   std::uint8_t kind = kUnknownBackendKind;
@@ -449,23 +441,23 @@ void Gateway::send_to_worker(const std::string& name,
 
   // Retained for failover to a replica: a view, not a byte copy.
   net::BufferView retry_copy = payload;
-  FnMetrics* fn = &fn_metrics(name, route);
   rpc_.call(worker, route.workload, std::move(payload),
-            [this, name, fn, worker, kind, started, attempts_left, ctx,
+            [this, fn = &fn, worker, kind, started, attempts_left, ctx,
              retry_copy = std::move(retry_copy),
              callback = std::move(callback)](
                 Result<proto::RpcResponse> result) mutable {
               if (result.ok()) {
-                fn->refresh();
-                if (fn->latency == nullptr) {
-                  fn->latency =
-                      &metrics_.sampler("gateway_latency_ns", {{"fn", name}});
+                MetricHandles& handles = fn->metrics;
+                if (handles.latency == nullptr) {
+                  handles.latency = &metrics_.sampler("gateway_latency_ns",
+                                                      {{"fn", fn->name}});
                 }
-                fn->latency->add(static_cast<double>(sim_.now() - started));
+                handles.latency->add(
+                    static_cast<double>(sim_.now() - started));
                 Histogram*& rpc_latency =
-                    fn->rpc_latency[backend_kind_slot(kind)];
+                    handles.rpc_latency[backend_kind_slot(kind)];
                 if (rpc_latency == nullptr) {
-                  Labels labels = metric_labels(name);
+                  Labels labels = metric_labels(fn->name);
                   labels.emplace_back("backend", backend_kind_label(kind));
                   rpc_latency = &metrics_.histogram("rpc_latency_ns", labels);
                 }
@@ -474,16 +466,17 @@ void Gateway::send_to_worker(const std::string& name,
                 if (callback) callback(std::move(result));
                 return;
               }
-              metrics_.counter("gateway_failures_total", {{"fn", name}})
+              metrics_.counter("gateway_failures_total", {{"fn", fn->name}})
                   .increment();
               // The worker looks dead: sideline it for the cooldown and
               // fail over to the next replica (a health probe or the
               // cooldown lapse brings it back).
               if (attempts_left > 0) {
                 quarantine_worker(worker);
-                metrics_.counter("gateway_failovers_total", {{"fn", name}})
+                metrics_.counter("gateway_failovers_total",
+                                 {{"fn", fn->name}})
                     .increment();
-                dispatch(name, std::move(retry_copy), std::move(callback),
+                dispatch(*fn, std::move(retry_copy), std::move(callback),
                          attempts_left - 1, ctx);
                 return;
               }
@@ -494,11 +487,7 @@ void Gateway::send_to_worker(const std::string& name,
 
 std::string Gateway::encode_route(WorkloadId workload,
                                   const std::vector<NodeId>& workers) {
-  std::vector<Replica> replicas;
-  replicas.reserve(workers.size());
-  for (NodeId node : workers) replicas.push_back(Replica{node, 1,
-                                                         kUnknownBackendKind});
-  return encode_replicas(workload, replicas);
+  return encode_replicas(workload, plain_replicas(workers));
 }
 
 std::string Gateway::encode_replicas(WorkloadId workload,
@@ -567,7 +556,6 @@ Result<Route> Gateway::decode_route(const std::string& encoded) {
     const auto node = parse_u64(token);
     if (!node || *node > 0xFFFFFFFFull) return malformed();
     replica.node = static_cast<NodeId>(*node);
-    route.workers.push_back(replica.node);
     route.replicas.push_back(replica);
   }
   if (route.replicas.empty()) return malformed();
@@ -580,9 +568,7 @@ void Gateway::apply_route_key(const std::string& key,
   if (key.rfind(kPrefix, 0) != 0) return;
   const std::string name = key.substr(6);
   auto decoded = decode_route(value);
-  if (decoded.ok()) {
-    routes_[name] = std::move(decoded).value();
-  }
+  if (decoded.ok()) set_route(name, std::move(decoded).value());
 }
 
 void Gateway::sync_with(kvstore::EtcdStore& etcd) {

@@ -21,6 +21,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,13 +80,13 @@ struct Route {
   /// single-tenant legacy routes). Stamped into every request's lambda
   /// header and added as a `tenant=` metric label.
   TenantId tenant = kDefaultTenant;
-  /// Flat node list, one entry per replica (kept in sync with `replicas`;
-  /// retained because most callers only care about where requests go).
-  std::vector<NodeId> workers;
-  /// The weighted set the dispatcher actually consults.
+  /// The weighted set the dispatcher consults.
   std::vector<Replica> replicas;
 
   std::uint64_t total_weight() const;
+  /// Flat node list, one entry per replica, for callers that only care
+  /// about where requests go.
+  std::vector<NodeId> workers() const;
 };
 
 /// Token-bucket rate limit, the gateway's DDoS guard (§7: "any malicious
@@ -134,7 +135,7 @@ class Gateway {
   void set_rate_limit(const std::string& name, RateLimit limit);
   void add_worker(const std::string& name, NodeId worker);
   bool has_function(const std::string& name) const {
-    return routes_.count(name) > 0;
+    return route(name) != nullptr;
   }
   const Route* route(const std::string& name) const;
 
@@ -192,7 +193,7 @@ class Gateway {
 
  private:
   struct Bucket {
-    RateLimit limit;
+    RateLimit limit;  // the default is unlimited
     double tokens = 0.0;
     SimTime refilled_at = 0;
   };
@@ -206,56 +207,63 @@ class Gateway {
     trace::SpanId queue_span = trace::kInvalidSpan;
   };
 
-  /// Per-function limiter state (only populated when the limiter is on).
-  struct FnLoad {
-    std::uint32_t inflight = 0;
-    std::deque<Queued> queue;
-  };
-
   /// Handles to one function's per-request series. Each is filled by
   /// the first request that writes its series, so no series is exported
-  /// earlier than without the cache. The registry never moves or drops
-  /// a series, so the pointers stay valid; routes are replaced in place
-  /// and never erased, so `route` does too.
-  struct FnMetrics {
-    const Route* route = nullptr;
-    /// Tenant the labels were resolved for; the handles are dropped when
-    /// the route's tenant differs (see refresh()).
-    TenantId tenant = kDefaultTenant;
+  /// earlier than without the handles. The registry never moves or drops
+  /// a series, so the pointers stay valid until the labels they were
+  /// resolved under change (see set_route() and register_tenant()).
+  struct MetricHandles {
     Counter* requests = nullptr;  // gateway_requests_total
     Sampler* latency = nullptr;   // gateway_latency_ns
     /// rpc_latency_ns by backend kind: nic, baremetal, container, unknown.
     std::array<Histogram*, 4> rpc_latency{};
-
-    /// Drops the handles if the route moved to another tenant.
-    void refresh() {
-      if (route->tenant != tenant) *this = FnMetrics{route, route->tenant};
-    }
   };
 
+  /// Everything the gateway keeps for one function name. Records are
+  /// created on first mention and never erased, and map nodes do not
+  /// move, so requests carry a `Function*` from invoke to completion.
+  struct Function {
+    std::string name;
+    /// Unset until the function is registered: a rate limit alone does
+    /// not make a name routable.
+    std::optional<Route> route;
+    /// Round-robin position and token bucket outlive route replacement.
+    std::size_t rr_cursor = 0;
+    Bucket bucket;
+    /// Limiter state (only used when the limiter is on).
+    std::uint32_t inflight = 0;
+    std::deque<Queued> queue;
+    MetricHandles metrics;
+  };
+
+  Function& function(const std::string& name);
+  /// The one place a route is installed or replaced; drops the metric
+  /// handles when the route moves to another tenant.
+  void set_route(const std::string& name, Route route);
   void apply_route_key(const std::string& key, const std::string& value);
-  /// `name`'s metric handles, bound to its current `route`.
-  FnMetrics& fn_metrics(const std::string& name, const Route& route);
-  bool admit(const std::string& name);  // token-bucket check
+  bool admit(Function& fn);  // token-bucket check
   /// Deterministic sampling decision for one request (no RNG draw).
   bool sample_trace();
-  void dispatch(const std::string& name, net::BufferView payload,
+  void dispatch(Function& fn, net::BufferView payload,
                 InvokeCallback callback, std::uint32_t attempts_left,
                 trace::SpanContext ctx);
-  /// Route resolution + replica pick + rpc send; runs after the proxy
-  /// delay so route updates landing mid-flight take effect.
-  void send_to_worker(const std::string& name,
-                      net::BufferView payload,
+  /// Route read + replica pick + rpc send; runs after the proxy delay
+  /// so route updates landing mid-flight take effect.
+  void send_to_worker(Function& fn, net::BufferView payload,
                       InvokeCallback callback, std::uint32_t attempts_left,
                       SimTime started, trace::SpanContext ctx);
-  NodeId pick_worker(const std::string& name, const Route& route);
+  NodeId pick_worker(Function& fn);
   /// Limiter entry: dispatch now or queue/shed.
-  void submit(const std::string& name, net::BufferView payload,
-              InvokeCallback callback, trace::SpanContext ctx);
-  void on_complete(const std::string& name);
-  void shed(const std::string& name, InvokeCallback& callback,
-            const char* reason);
-  void expire_queued(const std::string& name, std::uint64_t queued_id);
+  void submit(Function& fn, net::BufferView payload, InvokeCallback callback,
+              trace::SpanContext ctx);
+  /// Takes a limiter slot and dispatches; the slot frees on completion.
+  void start(Function& fn, net::BufferView payload, InvokeCallback callback,
+             trace::SpanContext ctx);
+  void on_complete(Function& fn);
+  void shed(const Function& fn, InvokeCallback& callback, const char* reason);
+  /// Sheds a queued request whose deadline passed.
+  void shed_stale(const Function& fn, Queued& queued);
+  void expire_queued(Function& fn, std::uint64_t queued_id);
 
   sim::Simulator& sim_;
   GatewayConfig config_;
@@ -263,17 +271,13 @@ class Gateway {
   trace::TraceRecorder* tracer_ = nullptr;
   double sample_rate_ = 1.0;
   double sample_accum_ = 0.0;
-  std::map<std::string, Route> routes_;
-  std::map<std::string, std::size_t> rr_cursor_;
-  std::map<std::string, Bucket> buckets_;
-  std::map<std::string, FnLoad> load_;
+  std::map<std::string, Function> functions_;
   std::map<NodeId, SimTime> quarantined_until_;
   std::map<std::string, TenantId> tenant_ids_;
   std::map<TenantId, std::string> tenant_names_;
   TenantId next_tenant_ = 1;
   std::uint64_t next_queued_id_ = 1;
   MetricsRegistry metrics_;
-  std::map<std::string, FnMetrics> fn_metrics_;
   Sampler* rpc_rto_ = nullptr;  // rpc_rto_ns, filled by the first send
 };
 

@@ -42,7 +42,7 @@ Result<DeploymentRecord> WorkloadManager::deploy(
     if (etcd_ != nullptr) {
       std::vector<NodeId> workers;
       if (gateway != nullptr && gateway->route(name) != nullptr) {
-        workers = gateway->route(name)->workers;
+        workers = gateway->route(name)->workers();
       } else {
         workers = {backend.node()};
       }

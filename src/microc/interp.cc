@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 
+#include "common/hash.h"
 #include "microc/verify.h"
 
 namespace lnic::microc {
@@ -11,15 +12,6 @@ namespace lnic::microc {
 namespace {
 constexpr std::size_t kMaxCallDepth = 16;     // NPUs do not support recursion
 constexpr std::size_t kMaxResponse = 32ull << 20;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 // True when [offset, offset + len) lies inside a buffer of `size` bytes
 // (no wraparound for huge offsets).

@@ -579,7 +579,8 @@ void SmartNic::handle_kv_response(const Packet& packet) {
 void SmartNic::finish_flight(std::unique_ptr<Flight> flight,
                              Outcome outcome) {
   staged_bytes_ -= flight->staged_bytes;
-  stats_.service_cycles.add(static_cast<double>(outcome.cycles));
+  ++stats_.service_runs;
+  stats_.service_cycles += outcome.cycles;
   if (flight->exec_span != trace::kInvalidSpan) {
     tracer_->annotate(flight->exec_span, "cycles",
                       std::to_string(outcome.cycles));

@@ -30,7 +30,6 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "compiler/pipeline.h"
@@ -121,7 +120,8 @@ struct NicStats {
   std::uint64_t requests_to_host = 0;         // no matching lambda
   std::uint64_t traps = 0;
   Bytes peak_inflight_bytes = 0;              // RDMA staging high-water mark
-  Sampler service_cycles;                     // per-request NPU cycles
+  std::uint64_t service_runs = 0;             // requests that finished
+  std::uint64_t service_cycles = 0;           // their NPU cycles, summed
   /// Completions per scheduling class (tenant id, or workload id for
   /// tenant-less traffic). Only populated under the kWfq policy.
   std::map<std::uint32_t, std::uint64_t> completed_by_class;

@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 
+#include "common/hash.h"
 #include "microc/builder.h"
 
 namespace lnic::p4 {
@@ -26,17 +27,8 @@ bool is_generated_name(const std::string& name) {
   return name.rfind(kGenPrefix, 0) == 0;
 }
 
-// Must match the interpreter's kHash implementation exactly: the lowered
-// dispatch compares runtime hashes against hashes precomputed here.
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
+// The lowered dispatch compares runtime `hash` results against keys
+// hashed here with the interpreter's own fnv1a.
 std::uint64_t hash_keys(const std::vector<std::uint64_t>& keys) {
   std::vector<std::uint8_t> bytes(keys.size() * 8);
   for (std::size_t i = 0; i < keys.size(); ++i) {

@@ -196,11 +196,11 @@ std::uint64_t ShardedSimulator::run_window(SimTime t0, SimTime end,
   // numbers are stable (the barrier mutex gives happens-before), and
   // this thread is the only one touching the collector.
   const std::uint64_t wall_ns = wall_ns_since(window_start);
-  std::vector<std::uint64_t> busy(shards_.size());
-  std::vector<std::uint64_t> events(shards_.size());
+  window_busy_.resize(shards_.size());
+  window_events_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    busy[s] = shards_[s].window_busy_ns;
-    events[s] = shards_[s].window_dispatched;
+    window_busy_[s] = shards_[s].window_busy_ns;
+    window_events_[s] = shards_[s].window_dispatched;
     stats_->set_cross_row(static_cast<unsigned>(s), shards_[s].posts_by_dst);
   }
   // Drain windows run to kSimTimeMax; record where the clocks actually
@@ -210,8 +210,8 @@ std::uint64_t ShardedSimulator::run_window(SimTime t0, SimTime end,
     eff_end = t0;
     for (const auto& sh : shards_) eff_end = std::max(eff_end, sh.sim->now());
   }
-  stats_->record_window(t0, eff_end, lookahead_, eot_extended, wall_ns, busy,
-                        events);
+  stats_->record_window(t0, eff_end, lookahead_, eot_extended, wall_ns,
+                        window_busy_, window_events_);
   return total;
 }
 

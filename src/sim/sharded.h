@@ -226,6 +226,9 @@ class ShardedSimulator {
   std::uint64_t merge_skips_ = 0;
   // Pooled merge scratch: reused across barriers, capacity persists.
   std::vector<RemoteEvent> merge_buf_;
+  // Per-shard busy ns / events of the last window, for the collector.
+  std::vector<std::uint64_t> window_busy_;
+  std::vector<std::uint64_t> window_events_;
   std::unique_ptr<ShardStatsCollector> stats_;
 
   // Window barrier for the persistent worker threads (shards 1..N-1;

@@ -74,7 +74,7 @@ TEST(Cluster, RoutesMirroredIntoEtcd) {
   auto decoded = framework::Gateway::decode_route(*route);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().workload, workloads::kWebServerId);
-  EXPECT_EQ(decoded.value().workers.size(), cluster.worker_count());
+  EXPECT_EQ(decoded.value().workers().size(), cluster.worker_count());
 }
 
 TEST(Cluster, BalancesAcrossWorkers) {

@@ -60,7 +60,7 @@ TEST(Gateway, RouteEncodingRoundTrips) {
   const auto decoded = Gateway::decode_route(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().workload, 7u);
-  EXPECT_EQ(decoded.value().workers, (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(decoded.value().workers(), (std::vector<NodeId>{1, 2, 3}));
   EXPECT_FALSE(Gateway::decode_route("garbage").ok());
   EXPECT_FALSE(Gateway::decode_route("x|1").ok());
 }
@@ -78,7 +78,7 @@ TEST(Gateway, ReplicaEncodingRoundTrips) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().workload, 7u);
   EXPECT_EQ(decoded.value().replicas, replicas);
-  EXPECT_EQ(decoded.value().workers, (std::vector<NodeId>{1, 2, 3, 4}));
+  EXPECT_EQ(decoded.value().workers(), (std::vector<NodeId>{1, 2, 3, 4}));
   EXPECT_EQ(decoded.value().total_weight(), 7u);
 }
 
@@ -283,7 +283,7 @@ TEST(Manager, SecondDeploymentAddsWorkerReplica) {
                   .deploy(workloads::make_standard_workloads(), *backend2,
                           &rig.gateway)
                   .ok());
-  EXPECT_EQ(rig.gateway.route("web_server")->workers.size(), 2u);
+  EXPECT_EQ(rig.gateway.route("web_server")->workers().size(), 2u);
 }
 
 TEST(Manager, TenantDeployNamespacesRoutesAndInstallsQuota) {
@@ -438,7 +438,7 @@ TEST(Gateway, FailsOverToReplicaWhenWorkerDies) {
   EXPECT_EQ(ok, 6);
   EXPECT_EQ(failed, 0);
   ASSERT_NE(gateway.route("f"), nullptr);
-  EXPECT_EQ(gateway.route("f")->workers,
+  EXPECT_EQ(gateway.route("f")->workers(),
             (std::vector<NodeId>{dead, live}));
   EXPECT_TRUE(gateway.is_quarantined(dead));
   EXPECT_FALSE(gateway.is_quarantined(live));
@@ -478,8 +478,8 @@ TEST(Gateway, RemoveWorkerDropsFromAllRoutes) {
   gateway.register_function("a", 1, {10, 11});
   gateway.register_function("b", 2, {11, 12});
   gateway.remove_worker(11);
-  EXPECT_EQ(gateway.route("a")->workers, (std::vector<NodeId>{10}));
-  EXPECT_EQ(gateway.route("b")->workers, (std::vector<NodeId>{12}));
+  EXPECT_EQ(gateway.route("a")->workers(), (std::vector<NodeId>{10}));
+  EXPECT_EQ(gateway.route("b")->workers(), (std::vector<NodeId>{12}));
 }
 
 TEST(Monitor, ScrapesBackendGauges) {
@@ -556,7 +556,7 @@ TEST(HealthChecker, RemovesDeadWorkerFromRoutes) {
   // (the dispatcher skips it until a probe succeeds again).
   EXPECT_FALSE(checker.is_healthy(w0));
   EXPECT_TRUE(checker.is_healthy(w1));
-  EXPECT_EQ(gateway.route("f")->workers, (std::vector<NodeId>{w0, w1}));
+  EXPECT_EQ(gateway.route("f")->workers(), (std::vector<NodeId>{w0, w1}));
   EXPECT_TRUE(gateway.is_quarantined(w0));
   EXPECT_FALSE(gateway.is_quarantined(w1));
   checker.stop();
@@ -597,7 +597,7 @@ TEST(HealthChecker, TransientFailureDoesNotKill) {
   checker.stop();
   sim.run();
   EXPECT_TRUE(checker.is_healthy(w));
-  EXPECT_EQ(gateway.route("f")->workers.size(), 1u);
+  EXPECT_EQ(gateway.route("f")->workers().size(), 1u);
 }
 
 TEST(Autoscaler, ScalesUpUnderLoadAndBackDown) {
@@ -1140,6 +1140,122 @@ TEST(Gateway, RouteVanishingDuringProxyDelayFailsCleanly) {
   EXPECT_NE(error.find("no workers"), std::string::npos);
   EXPECT_EQ(workers.hits[0], 0);
   EXPECT_GE(gateway.metrics().counter("gateway_unroutable_total").value(), 1u);
+}
+
+TEST(Gateway, RateLimitAloneDoesNotRouteAName) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  EchoPair workers(sim, network);
+  Gateway gateway(sim, network);
+  gateway.set_rate_limit("f", RateLimit{10.0, 1.0});
+  EXPECT_FALSE(gateway.has_function("f"));
+  EXPECT_EQ(gateway.route("f"), nullptr);
+  std::string error;
+  gateway.invoke("f", {}, [&](Result<proto::RpcResponse> r) {
+    ASSERT_FALSE(r.ok());
+    error = r.error().message;
+  });
+  EXPECT_NE(error.find("no route"), std::string::npos);
+  EXPECT_EQ(gateway.metrics().counter("gateway_unroutable_total").value(), 1u);
+
+  // Registering later keeps the limit: a burst of one admits one request.
+  gateway.register_function("f", 1, {workers.node[0]});
+  int ok = 0, throttled = 0;
+  for (int i = 0; i < 2; ++i) {
+    gateway.invoke("f", {}, [&](Result<proto::RpcResponse> r) {
+      ++(r.ok() ? ok : throttled);
+    });
+  }
+  sim.run();
+  EXPECT_EQ(ok, 1);
+  EXPECT_EQ(throttled, 1);
+}
+
+TEST(Gateway, RoundRobinContinuesAcrossRouteReplacement) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  EchoPair workers(sim, network);
+  Gateway gateway(sim, network);
+  gateway.register_function("f", 1, {workers.node[0], workers.node[1]});
+  gateway.invoke("f", {}, nullptr);
+  sim.run();
+  gateway.register_function("f", 1, {workers.node[0], workers.node[1]});
+  gateway.invoke("f", {}, nullptr);
+  sim.run();
+  // The second request takes the next slot, not the first one again.
+  EXPECT_EQ(workers.hits[0], 1);
+  EXPECT_EQ(workers.hits[1], 1);
+}
+
+TEST(Gateway, AddWorkerOnUnknownNameCreatesARoute) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  Gateway gateway(sim, network);
+  gateway.add_worker("g", 7);
+  ASSERT_TRUE(gateway.has_function("g"));
+  EXPECT_EQ(gateway.route("g")->workers(), (std::vector<NodeId>{7}));
+  EXPECT_EQ(gateway.route("g")->workload, kInvalidWorkload);
+}
+
+// A route moved to another tenant by the etcd watch while a request is
+// on the wire: the completion is recorded under the new tenant's labels,
+// even though an earlier completion already resolved the old ones.
+TEST(Gateway, TenantChangeFromEtcdRelabelsInFlightCompletion) {
+  sim::Simulator sim;
+  net::Network network(sim);
+  kvstore::EtcdStore etcd(sim, 3);
+  etcd.start();
+  sim.run_until(seconds(2));
+  // A worker that replies after 100 ms, so the watch lands mid-request.
+  const NodeId slow = network.attach(nullptr);
+  network.set_handler(slow, [&](const net::Packet& p) {
+    if (p.kind != net::PacketKind::kRequest) return;
+    net::Packet reply;
+    reply.src = slow;
+    reply.dst = p.src;
+    reply.kind = net::PacketKind::kResponse;
+    reply.lambda = p.lambda;
+    sim.schedule(milliseconds(100), [&network, reply] { network.send(reply); });
+  });
+  GatewayConfig config;
+  config.rpc.retransmit_timeout = seconds(1);
+  Gateway gateway(sim, network, config);
+  ASSERT_TRUE(etcd.put("route/f", Gateway::encode_route(1, {slow})).ok());
+  sim.run_until(seconds(3));
+  gateway.sync_with(etcd);
+  ASSERT_TRUE(gateway.has_function("f"));
+
+  int ok = 0;
+  const auto count_ok = [&](Result<proto::RpcResponse> r) {
+    if (r.ok()) ++ok;
+  };
+  gateway.invoke("f", {}, count_ok);
+  sim.run_until(seconds(4));
+  ASSERT_EQ(ok, 1);
+  gateway.invoke("f", {}, count_ok);
+  sim.run_until(sim.now() + milliseconds(1));
+  ASSERT_TRUE(etcd.put("route/f",
+                       Gateway::encode_replicas(
+                           1, {Replica{slow, 1, kUnknownBackendKind}}, 2))
+                  .ok());
+  sim.run_until(sim.now() + milliseconds(50));
+  EXPECT_EQ(gateway.route("f")->tenant, 2u);
+  EXPECT_EQ(ok, 1);  // the second request is still in flight
+  sim.run_until(sim.now() + seconds(1));
+  ASSERT_EQ(ok, 2);
+  MetricsRegistry& metrics = gateway.metrics();
+  EXPECT_EQ(metrics
+                .histogram("rpc_latency_ns",
+                           {{"fn", "f"}, {"backend", "unknown"}})
+                .count(),
+            1u);
+  EXPECT_EQ(metrics
+                .histogram("rpc_latency_ns", {{"fn", "f"},
+                                              {"tenant", "tenant-2"},
+                                              {"backend", "unknown"}})
+                .count(),
+            1u);
+  EXPECT_EQ(gateway.latency("f").count(), 2u);  // {fn} only, both requests
 }
 
 TEST(HealthChecker, QuarantineProbeReinstateRoundTrip) {

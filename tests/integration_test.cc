@@ -133,7 +133,7 @@ TEST(Integration, HomogeneousPlacementMatchesLegacyRoutes) {
   ASSERT_EQ(route->replicas.size(), 3u);
   EXPECT_EQ(route->total_weight(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(route->workers[i], cluster.worker(i).node());
+    EXPECT_EQ(route->workers()[i], cluster.worker(i).node());
     EXPECT_EQ(route->replicas[i].weight, 1u);
   }
 }
@@ -218,7 +218,7 @@ TEST(Integration, HealthCheckerPlusGatewayKeepServingThroughCrash) {
   EXPECT_FALSE(checker.is_healthy(doomed->node()));
   // The crashed worker stays in the route (quarantined until a probe
   // succeeds) so a later recovery needs no manager intervention.
-  EXPECT_EQ(gateway.route("web_server")->workers,
+  EXPECT_EQ(gateway.route("web_server")->workers(),
             (std::vector<NodeId>{alive->node(), doomed->node()}));
   EXPECT_EQ(checker.quarantines(), 1u);
 }

@@ -712,7 +712,7 @@ int run_loadgen(const std::map<std::string, std::string>& flags,
   }
   for (const std::string& fn : functions) {
     cluster.gateway().register_function(fn, workloads::kWebServerId,
-                                        route->workers);
+                                        route->workers());
   }
 
   loadgen::LoadGenConfig lg;
